@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench bench-smoke benchdiff crashtest chaos cluster cover oracle apicheck lint fmt vet
+.PHONY: test race bench bench-smoke benchdiff benchcheck crashtest chaos cluster cover oracle apicheck lint fmt vet
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -28,6 +28,12 @@ BENCH_BASE ?= BENCH_PR10.json
 benchdiff:
 	$(GO) run ./cmd/polyfit-bench -quick -out /tmp/bench-head.json
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASE) -new /tmp/bench-head.json
+
+# Vet and test the benchmark program (perfbench/, see BENCHMARK.json). It is
+# a module of its own, so the root ./... commands never build it; this
+# catches a server change that breaks the benchmark's build.
+benchcheck:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # End-to-end crash-recovery check: build polyfit-serve, run it with a
 # -data-dir, acknowledge inserts, SIGKILL it mid-workload, restart, and

@@ -25,12 +25,6 @@
 // admission control), so the overload-control behavior of the serving
 // layer is pinned next to the microbenchmarks. -load-only skips the
 // microbenchmark probes and runs just the load sweep.
-//
-// The load section ends with a repeat-heavy sweep: Zipf(1.2)-skewed repeats
-// of the same range set against a result-cache-enabled server and an
-// uncached control, recording the achieved hit rate, cached-vs-uncached
-// latency quantiles, and how many queued queries were answered by batched
-// group sweeps (see internal/server cache.go and batcher.go).
 package main
 
 import (
@@ -40,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -86,13 +79,6 @@ type LoadPoint struct {
 	P50us      float64 `json:"p50_us"`         // latency of successful queries
 	P99us      float64 `json:"p99_us"`
 	ShedRate   float64 `json:"shed_rate"` // shed / requests
-
-	// Repeat-heavy sweep extras (zero unless the point ran against a
-	// cache-enabled server): result-cache hit rate over the window and the
-	// number of queries answered by batched group sweeps while queued.
-	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
-	BatchedQueries int64   `json:"batched_queries,omitempty"`
-	BatchedGroups  int64   `json:"batched_groups,omitempty"`
 
 	// Cluster sweep extras (zero unless the point ran through the
 	// replication router): replica count behind the router, hedge counters
@@ -562,9 +548,8 @@ func runLoad(quick bool, dur time.Duration) []LoadPoint {
 	}
 	url := ts.URL + "/v1/indexes/bench/query"
 
-	// Pre-marshal distinct query bodies: 1024 different ranges so the
-	// single-flight coalescer sees a realistic mix, not one query repeated
-	// (which would collapse the whole sweep onto a handful of executions).
+	// Pre-marshal distinct query bodies: 1024 different ranges, so the
+	// sweep measures a realistic mix rather than one query repeated.
 	bodies := make([][]byte, len(qs))
 	for i, q := range qs {
 		bodies[i] = fmt.Appendf(nil, `{"lo":%g,"hi":%g}`, q.L, q.U)
@@ -611,7 +596,6 @@ func runLoad(quick bool, dur time.Duration) []LoadPoint {
 			p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, p.Requests, p.Errors)
 	}
 
-	points = append(points, runRepeatLoad(keys, qs, dur)...)
 	points = append(points, runClusterLoad(keys, qs, dur)...)
 	return points
 }
@@ -790,141 +774,7 @@ func runClusterLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []L
 	}
 }
 
-// runRepeatLoad is the repeat-heavy sweep: workers draw from the same 1024
-// ranges through a Zipf(1.2) skew — the head ranges repeat constantly, the
-// tail barely at all, the access pattern result caching is for — against a
-// cache-enabled server and an otherwise identical uncached control. The
-// paired rows pin the cache's effect on p50/p99 and throughput, the hit
-// rate the skew actually achieves, and how many queued queries flowed
-// through batched group sweeps instead of waiting for solo slots.
-func runRepeatLoad(keys []float64, qs []data.RangeQuery, dur time.Duration) []LoadPoint {
-	bodies := make([][]byte, len(qs))
-	for i, q := range qs {
-		bodies[i] = fmt.Appendf(nil, `{"lo":%g,"hi":%g}`, q.L, q.U)
-	}
-	procs := runtime.GOMAXPROCS(0)
-
-	var points []LoadPoint
-	for _, cfg := range []struct {
-		name       string
-		cacheBytes int64
-	}{
-		{"load/zipf_uncached", 0},
-		{"load/zipf_cached", 32 << 20},
-	} {
-		// Queue depth 32 (vs 2×GOMAXPROCS in the main sweep) so the
-		// contended row below can form real groups: batched admission turns
-		// that depth into amortised sweeps instead of serialized waits.
-		srv, err := server.NewDurable(server.Config{
-			MaxConcurrentQueries: procs,
-			MaxQueuedQueries:     32,
-			CacheBytes:           cfg.cacheBytes,
-			Logf:                 func(string, ...any) {},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Dynamic on purpose: the cache must prove itself under the
-		// generation-keyed invalidation path, not the static gen-0 fast case.
-		if _, err := srv.Create(server.CreateRequest{
-			Name: "bench", Agg: "count", Keys: keys, EpsAbs: 100, Dynamic: true,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		client := ts.Client()
-		if tr, ok := client.Transport.(*http.Transport); ok {
-			tr.MaxIdleConns = 512
-			tr.MaxIdleConnsPerHost = 512
-		}
-		url := ts.URL + "/v1/indexes/bench/query"
-
-		for _, workers := range []int{4, 16, 64} {
-			before := fetchServerStats(client, ts.URL)
-			sample := func(w int) func() []byte {
-				r := rand.New(rand.NewSource(int64(97 + w)))
-				z := rand.NewZipf(r, 1.2, 8, uint64(len(bodies)-1))
-				return func() []byte { return bodies[z.Uint64()] }
-			}
-			p := runLoadPointWith(client, cfg.name, url, sample, workers, dur)
-			after := fetchServerStats(client, ts.URL)
-			if lookups := (after.CacheHits + after.CacheMisses) - (before.CacheHits + before.CacheMisses); lookups > 0 {
-				p.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(lookups)
-			}
-			p.BatchedQueries = after.BatchedQueries - before.BatchedQueries
-			p.BatchedGroups = after.BatchedGroups - before.BatchedGroups
-			points = append(points, p)
-			fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%  batched %d/%d\n",
-				p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate,
-				p.BatchedQueries, p.BatchedGroups)
-		}
-
-		// Contended row: two background clients stream heavy batch requests
-		// that occupy the execution slots, so the zipf point queries actually
-		// pile up in the admission queue — the regime batched admission is
-		// for. batched_queries/batched_groups record how many rode a group
-		// sweep (and how big the groups got) instead of waiting for solo
-		// slots; distinct-range misses are what batch, repeats still coalesce
-		// or hit the cache above the queue.
-		var heavy bytes.Buffer
-		heavy.WriteString(`{"ranges":[`)
-		for i := 0; i < 1<<14; i++ {
-			q := qs[(i*7)%len(qs)]
-			if i > 0 {
-				heavy.WriteByte(',')
-			}
-			fmt.Fprintf(&heavy, `{"lo":%g,"hi":%g}`, q.L, q.U)
-		}
-		heavy.WriteString(`]}`)
-		stopBatch := make(chan struct{})
-		var batchWG sync.WaitGroup
-		for k := 0; k < 2; k++ {
-			batchWG.Add(1)
-			go func() {
-				defer batchWG.Done()
-				for {
-					select {
-					case <-stopBatch:
-						return
-					default:
-					}
-					resp, err := client.Post(ts.URL+"/v1/indexes/bench/batch", "application/json",
-						bytes.NewReader(heavy.Bytes()))
-					if err != nil {
-						continue
-					}
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck
-					resp.Body.Close()              //nolint:errcheck
-				}
-			}()
-		}
-		before := fetchServerStats(client, ts.URL)
-		sample := func(w int) func() []byte {
-			r := rand.New(rand.NewSource(int64(211 + w)))
-			z := rand.NewZipf(r, 1.2, 8, uint64(len(bodies)-1))
-			return func() []byte { return bodies[z.Uint64()] }
-		}
-		p := runLoadPointWith(client, cfg.name+"_contended", url, sample, 16, dur)
-		after := fetchServerStats(client, ts.URL)
-		if lookups := (after.CacheHits + after.CacheMisses) - (before.CacheHits + before.CacheMisses); lookups > 0 {
-			p.CacheHitRate = float64(after.CacheHits-before.CacheHits) / float64(lookups)
-		}
-		p.BatchedQueries = after.BatchedQueries - before.BatchedQueries
-		p.BatchedGroups = after.BatchedGroups - before.BatchedGroups
-		points = append(points, p)
-		fmt.Printf("%-32s %10.0f q/s  p50 %8.1fµs  p99 %8.1fµs  shed %5.1f%%  hit %5.1f%%  batched %d/%d\n",
-			p.Name, p.Throughput, p.P50us, p.P99us, 100*p.ShedRate, 100*p.CacheHitRate,
-			p.BatchedQueries, p.BatchedGroups)
-		close(stopBatch)
-		batchWG.Wait()
-
-		ts.Close()
-		srv.Close() //nolint:errcheck
-	}
-	return points
-}
-
-// fetchServerStats reads /v1/stats for counter deltas around a load point.
+// fetchServerStats reads a server's /v1/stats.
 func fetchServerStats(client *http.Client, base string) server.ServerStats {
 	var st server.ServerStats
 	resp, err := client.Get(base + "/v1/stats")
@@ -939,21 +789,6 @@ func fetchServerStats(client *http.Client, base string) server.ServerStats {
 }
 
 func runLoadPoint(client *http.Client, name, url string, bodies [][]byte, workers int, dur time.Duration) LoadPoint {
-	sample := func(w int) func() []byte {
-		i := w * 131 // offset each worker's walk so they don't march in lockstep
-		return func() []byte {
-			b := bodies[i%len(bodies)]
-			i++
-			return b
-		}
-	}
-	return runLoadPointWith(client, name, url, sample, workers, dur)
-}
-
-// runLoadPointWith is runLoadPoint with a pluggable per-worker body
-// sampler — the repeat-heavy sweep uses it to draw Zipf-skewed repeats
-// instead of a round-robin walk.
-func runLoadPointWith(client *http.Client, name, url string, sample func(w int) func() []byte, workers int, dur time.Duration) LoadPoint {
 	var ok, shed, errs atomic.Int64
 	latCh := make(chan []float64, workers)
 	stop := make(chan struct{})
@@ -963,7 +798,7 @@ func runLoadPointWith(client *http.Client, name, url string, sample func(w int) 
 		go func(w int) {
 			defer wg.Done()
 			lats := make([]float64, 0, 4096)
-			next := sample(w)
+			i := w * 131 // offset each worker's walk so they don't march in lockstep
 			for {
 				select {
 				case <-stop:
@@ -971,7 +806,8 @@ func runLoadPointWith(client *http.Client, name, url string, sample func(w int) 
 					return
 				default:
 				}
-				body := next()
+				body := bodies[i%len(bodies)]
+				i++
 				t0 := time.Now()
 				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 				el := float64(time.Since(t0).Nanoseconds()) / 1e3

@@ -10,15 +10,13 @@
 // Usage:
 //
 //	polyfit-serve [-addr :8080] [-demo 200000] [-demo-shards K] [-data-dir DIR] [-snapshot-interval 15s]
-//	              [-drain-timeout 10s] [-fault-schedule ""] [-fault-seed 1] [-cache-bytes 0]
+//	              [-drain-timeout 10s] [-fault-schedule ""] [-fault-seed 1]
 //	polyfit-serve -join http://leader:8080 [-addr :8081] [-advertise URL]     # read replica
 //	polyfit-serve -route http://n1:8080,http://n2:8081 [-hedge-delay 2ms]     # router
 //
-// With -cache-bytes N the server keeps up to N bytes of completed query
-// responses — certified error bound included — and serves repeats straight
-// from memory. Cached entries are keyed by the index's data generation, so
-// an insert or rebuild structurally invalidates them; a stale answer is
-// never served (see internal/server for the full argument).
+// A point query takes the same path as a batch: decode, one admission slot
+// (429 + Retry-After when the queue is full), execute under the request's
+// deadline, encode (see internal/server).
 //
 // With -data-dir the server is durable: every index is snapshotted to DIR,
 // acknowledged inserts are fsynced to a per-index write-ahead log before
@@ -93,7 +91,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for draining in-flight requests")
 	faultSchedule := flag.String("fault-schedule", "", "faultfs injection schedule for the data dir, e.g. write@20-70 or sync:0.1 (testing only)")
 	faultSeed := flag.Int64("fault-seed", 1, "PRNG seed for probabilistic -fault-schedule rules")
-	cacheBytes := flag.Int64("cache-bytes", 0, "result-cache byte budget; cached responses keep their certified bounds and invalidate by data generation (0 = disabled)")
 	join := flag.String("join", "", "leader base URL to replicate from (follower mode, in-memory; mutually exclusive with -data-dir)")
 	advertise := flag.String("advertise", "", "URL this node reports to peers (default derived from -addr)")
 	route := flag.String("route", "", "comma-separated replica base URLs: run as a hedged scatter-gather router instead of a server")
@@ -123,7 +120,6 @@ func main() {
 		SnapshotInterval: *snapInterval,
 		Logf:             log.Printf,
 		FS:               fsys,
-		CacheBytes:       *cacheBytes,
 		Join:             *join,
 		Advertise:        *advertise,
 	})

@@ -25,23 +25,11 @@ type ContextQuerier interface {
 	QueryBatchContext(ctx context.Context, ranges []Range) ([]Result, error)
 }
 
-// Generational is implemented by the insert-supporting variants. The
-// generation is a monotonic mutation counter: it moves on every successful
-// Insert and Rebuild, so two reads observing the same generation saw the
-// same data. Serving layers key caches and request coalescing on it —
-// invalidation is structural, not time-based. Static indexes are immutable
-// and have no generation (treat them as a constant 0).
-type Generational interface {
-	Generation() uint64
-}
-
 var (
 	_ ContextQuerier = (*staticIndex)(nil)
 	_ ContextQuerier = (*dynamicIndex)(nil)
 	_ ContextQuerier = (*shardedIndex)(nil)
 	_ ContextQuerier = (*shardedDynamicIndex)(nil)
-	_ Generational   = (*dynamicIndex)(nil)
-	_ Generational   = (*shardedDynamicIndex)(nil)
 )
 
 // batchCtxChunk is how many ranges an unsharded batch answers between
@@ -115,10 +103,6 @@ func (ix *dynamicIndex) QueryBatchContext(ctx context.Context, ranges []Range) (
 	return chunkedBatchCtx(ctx, ranges, ix.QueryBatch)
 }
 
-// Generation reports the dynamic index's mutation counter (see
-// Generational).
-func (ix *dynamicIndex) Generation() uint64 { return ix.inner.Generation() }
-
 // --- sharded (both layouts, via the shared adapter) -------------------------
 
 func (s shardedQueries) QueryContext(ctx context.Context, r Range) (Result, error) {
@@ -173,7 +157,3 @@ func (s shardedQueries) QueryBatchContext(ctx context.Context, ranges []Range) (
 		return s.c.ShardsTouched(r.Lo, r.Hi)
 	}), nil
 }
-
-// Generation reports the summed per-shard mutation counter (see
-// Generational).
-func (ix *shardedDynamicIndex) Generation() uint64 { return ix.inner.Generation() }

@@ -284,26 +284,16 @@
 //     leaves work running unobserved. A client that hangs up instead is
 //     answered 499-style and counted canceled, not timed out, so the
 //     timeout signal operators alert on stays clean.
-//   - Result caching: a point query's path is cache, then coalesce, then
-//     admit, then execute. Completed responses — certified bound included
-//     — are kept in a bounded sharded LRU keyed by (index instance, data
-//     generation, range, tolerance); because a mutation bumps the
-//     generation, a repeat is served from memory with zero index traversal
-//     and a stale hit is impossible by construction (off by default;
-//     Config.CacheBytes).
-//   - Coalescing: identical concurrent queries (same index, same data
-//     generation, same range and tolerance) collapse onto one execution;
-//     followers repeat the leader's byte-identical response without
-//     consuming admission slots, while honoring their own deadlines.
+//   - One query path: a point query takes the same path as a batch —
+//     decode, one admission slot, execute, encode. Every admitted query
+//     executes against the index; nothing is cached or shared between
+//     requests, because a lookup is well under a microsecond of a served
+//     read (0.24 µs of 88 µs on the benchmark's traced point workload).
 //   - Admission control: at most a configured number of queries execute
 //     concurrently, a bounded number more may queue, and everything beyond
 //     that is shed immediately with 429 + Retry-After — the decision is
 //     lock-free, so an overloaded server says "try later" in microseconds
-//     instead of timing everyone out. Inserts are never gated. Distinct
-//     point queries that do queue are grouped per (index, generation) and
-//     executed as one sorted batch sweep under a single slot, each waiter
-//     receiving its own per-range certified bound — queue depth amortises
-//     into throughput instead of serialising into latency.
+//     instead of timing everyone out. Inserts are never gated.
 //   - Fault degradation: a failed WAL append (after bounded retries) never
 //     fails or blocks the insert — the index degrades to snapshot-only
 //     durability, the response says "durable": false, an immediate
@@ -313,12 +303,13 @@
 //     (make chaos).
 //   - Graceful shutdown drains: stop accepting, finish in-flight requests
 //     under a deadline, then snapshot and close — never the reverse order.
+//     Every request is counted in flight before it checks the drain flag,
+//     so none is still running when Drain returns nil.
 //
 // A panic in a handler is recovered to a 500 (and counted) rather than
 // taking the process down. All of it is observable in /v1/stats: in-flight,
-// queued, shed, coalesced, batched, timed-out, canceled, cache
-// hits/misses/evictions/bytes, recovered panics, degraded indexes, persist
-// errors, and non-durable inserts.
+// queued, shed, timed-out, canceled and executed queries, recovered
+// panics, degraded indexes, persist errors, and non-durable inserts.
 //
 // # Distributed serving contract (replication tier)
 //

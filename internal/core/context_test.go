@@ -83,52 +83,3 @@ func TestShardedQueryCtxLiveMatchesPlain(t *testing.T) {
 		}
 	}
 }
-
-// Generation moves on every successful insert and rebuild, and never on a
-// rejected insert.
-func TestGenerationCounter(t *testing.T) {
-	keys := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	measures := make([]float64, len(keys))
-	d, err := NewDynamic(Count, keys, measures, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0 := d.Generation()
-	if err := d.Insert(100, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g := d.Generation(); g != g0+1 {
-		t.Fatalf("generation after insert: %d, want %d", g, g0+1)
-	}
-	if err := d.Insert(100, 1); err == nil {
-		t.Fatal("duplicate insert should fail")
-	}
-	if g := d.Generation(); g != g0+1 {
-		t.Fatalf("generation moved on rejected insert: %d", g)
-	}
-	if err := d.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if g := d.Generation(); g <= g0+1 {
-		t.Fatalf("generation after rebuild: %d, want > %d", g, g0+1)
-	}
-}
-
-// The sharded generation is the sum over shards and moves on any shard's
-// insert.
-func TestShardedGeneration(t *testing.T) {
-	s := buildShardedForCtx(t, 4)
-	g0 := s.Generation()
-	if err := s.Insert(10000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g := s.Generation(); g != g0+1 {
-		t.Fatalf("sharded generation after insert: %d, want %d", g, g0+1)
-	}
-	if err := s.Insert(-5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g := s.Generation(); g != g0+2 {
-		t.Fatalf("sharded generation after second insert: %d, want %d", g, g0+2)
-	}
-}

@@ -44,11 +44,6 @@ type Dynamic1D struct {
 	mu       sync.RWMutex
 	rebuilds int // guarded by mu
 
-	// gen counts successful mutations (inserts and rebuilds). It is the
-	// cache/coalescing invalidation token of the serving layer: two reads
-	// at the same generation observe the same snapshot contents.
-	gen atomic.Uint64
-
 	// RebuildFraction triggers a merge-rebuild when the buffer exceeds this
 	// fraction of the base size (default 1/8). Set it before sharing the
 	// index between goroutines.
@@ -147,7 +142,6 @@ func (d *Dynamic1D) rebuildLocked(from *dynState) error {
 	}
 	d.state.Store(st)
 	d.rebuilds++
-	d.gen.Add(1)
 	return nil
 }
 
@@ -222,7 +216,6 @@ func (d *Dynamic1D) Insert(key, measure float64) error {
 		return d.rebuildLocked(next)
 	}
 	d.state.Store(next)
-	d.gen.Add(1)
 	return nil
 }
 
@@ -429,13 +422,6 @@ func (d *Dynamic1D) Rebuilds() int {
 	defer d.mu.RUnlock()
 	return d.rebuilds
 }
-
-// Generation returns the mutation counter: it increases on every
-// successful Insert and Rebuild, so two queries observing the same
-// generation saw the same data. The serving layer keys its singleflight
-// coalescing (and any future result cache) on it — staleness is
-// structurally impossible because any mutation moves the generation.
-func (d *Dynamic1D) Generation() uint64 { return d.gen.Load() }
 
 // Base exposes the current static index (for stats/inspection). The
 // returned index is an immutable snapshot; a later merge-rebuild publishes

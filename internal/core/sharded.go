@@ -817,18 +817,6 @@ func (s *ShardedDynamic1D) Len() int {
 	return n
 }
 
-// Generation returns the summed mutation counter of all shards. Each
-// shard's counter only ever increases, so the sum is monotonic: any insert
-// or rebuild anywhere in the sharded index moves it, which is exactly the
-// invalidation property coalescing and caching need.
-func (s *ShardedDynamic1D) Generation() uint64 {
-	var g uint64
-	for _, sh := range s.shards {
-		g += sh.Generation()
-	}
-	return g
-}
-
 // BufferLen returns the total not-yet-merged insert count across shards.
 func (s *ShardedDynamic1D) BufferLen() int {
 	n := 0

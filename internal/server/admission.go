@@ -3,42 +3,24 @@ package server
 import (
 	"context"
 	"errors"
-	"net/http"
-	"sync"
 	"sync/atomic"
-
-	polyfit "repro"
 )
 
 // Overload control for the query path (admission.go): a bounded admission
-// queue in front of a concurrency limit, plus single-flight coalescing of
-// identical in-flight queries. Inserts and admin operations are never
-// gated — shedding reads to protect writes is the point, not the other
-// way around.
+// queue in front of a concurrency limit. A point query and a batch each
+// take one slot for the whole request, through the same acquire call.
+// Inserts and admin operations are never gated — shedding reads to
+// protect writes is the point, not the other way around.
 //
-//   - At most MaxConcurrentQueries queries execute at once; up to
-//     MaxQueuedQueries more wait for a slot. Beyond that the request is
-//     shed immediately (HTTP 429 + Retry-After) instead of queueing
-//     unboundedly — under overload the server answers "try later" in
-//     microseconds rather than timing everyone out.
-//   - Identical concurrent queries — same index, same data generation,
-//     same range, same eps_rel — collapse onto one execution: one leader
-//     takes an admission slot and runs the query, followers wait on the
-//     leader and repeat its byte-identical response without consuming
-//     slots. The generation in the key makes invalidation structural: an
-//     insert bumps it, so post-insert arrivals never join a stale flight.
-//   - Distinct point queries waiting for a slot are collected per
-//     (index, generation) and executed as one QueryBatch sweep under a
-//     single slot when one of them finally acquires it (see batcher.go).
+// At most MaxConcurrentQueries requests execute at once; up to
+// MaxQueuedQueries more wait for a slot. Beyond that the request is shed
+// immediately (HTTP 429 + Retry-After) instead of queueing unboundedly —
+// under overload the server answers "try later" in microseconds rather
+// than timing everyone out.
 
 // errShed reports a query rejected by admission control because both the
 // executing slots and the wait queue were full.
 var errShed = errors.New("server overloaded: query queue is full")
-
-// errAborted reports an acquire abandoned because the caller's abort
-// channel fired first — for batched point queries, that means another
-// waiter's sweep already produced this query's answer (see batcher.go).
-var errAborted = errors.New("server: admission wait aborted")
 
 // admission is the bounded queue + concurrency limit. acquire is designed
 // so the shed decision is lock-free and immediate: a full queue is
@@ -56,33 +38,9 @@ func newAdmission(maxConcurrent, maxQueue int) *admission {
 
 // acquire takes an execution slot, queueing up to the configured depth.
 // It returns errShed without blocking when the queue is full, or ctx's
-// error if the deadline expires while queued. A nil return must be paired
+// error if the context dies while queued. A nil return must be paired
 // with release.
 func (a *admission) acquire(ctx context.Context) error {
-	err := a.acquireAbortable(ctx, nil)
-	if errors.Is(err, errShed) {
-		a.shed.Add(1)
-	}
-	return err
-}
-
-// tryAcquire takes a slot only if one is free right now, reporting whether
-// it did. A true return must be paired with release.
-func (a *admission) tryAcquire() bool {
-	select {
-	case a.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// acquireAbortable is acquire with a third wake-up source: it returns
-// errAborted if abort fires while queued (a nil abort never fires). It
-// does NOT count errShed in the shed counter — the caller decides, because
-// a batched waiter that was claimed by a concurrent sweep ends up answered
-// 200, not 429 (see batcher.go).
-func (a *admission) acquireAbortable(ctx context.Context, abort <-chan struct{}) error {
 	select {
 	case a.sem <- struct{}{}:
 		return nil
@@ -90,6 +48,7 @@ func (a *admission) acquireAbortable(ctx context.Context, abort <-chan struct{})
 	}
 	if a.queued.Add(1) > a.maxQueue {
 		a.queued.Add(-1)
+		a.shed.Add(1)
 		return errShed
 	}
 	defer a.queued.Add(-1)
@@ -98,20 +57,16 @@ func (a *admission) acquireAbortable(ctx context.Context, abort <-chan struct{})
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-abort:
-		return errAborted
 	}
 }
 
 func (a *admission) release() { <-a.sem }
 
-// testHookQueryDelay, when non-nil, runs in the query leader after its
-// admission slot is acquired and before the query executes (solo queries,
-// batch requests, and batched-group sweeps alike). Tests use it to hold a
-// leader in place so concurrent identical queries provably coalesce behind
-// it (and so the queue provably fills). testHookQueryDelayCtx is the
-// context-aware variant, for tests that must park a query until its own
-// request context dies.
+// testHookQueryDelay, when non-nil, runs in every query and batch after
+// its admission slot is acquired and before the index executes it. Tests
+// use it to hold a query in place so the queue provably fills.
+// testHookQueryDelayCtx is the context-aware variant, for tests that must
+// park a query until its own request context dies.
 var (
 	testHookQueryDelay    func()
 	testHookQueryDelayCtx func(context.Context)
@@ -125,98 +80,4 @@ func runQueryDelayHooks(ctx context.Context) {
 	if testHookQueryDelayCtx != nil {
 		testHookQueryDelayCtx(ctx)
 	}
-}
-
-// flightKey identifies one logical query for coalescing — and for the
-// result cache, which shares the exact same identity (see cache.go). The
-// entry pointer (not the name) scopes the flight to one registered index
-// instance — a restore under the same name changes the pointer — and gen
-// is the index's mutation counter, so any successful insert or rebuild
-// moves later arrivals onto a fresh flight (and makes older cached bodies
-// unreachable).
-type flightKey struct {
-	e      *entry
-	gen    uint64
-	lo, hi float64
-	epsRel float64
-}
-
-// flightCall is one in-flight execution; followers wait on done and then
-// read the outcome fields (written once, before close).
-type flightCall struct {
-	done   chan struct{}
-	status int
-	body   []byte
-}
-
-// flightGroup is a hand-rolled singleflight keyed by flightKey.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[flightKey]*flightCall // guarded by mu
-}
-
-// do executes fn once per key among concurrent callers. The first caller
-// (leader) runs fn and broadcasts its outcome; the rest (followers) block
-// until the leader finishes and return the exact same status and body
-// bytes — or until their own ctx expires, in which case err is the ctx
-// error and status/body are unset: a follower's deadline is its own, never
-// the leader's. leader reports which role this caller played. waiting is a
-// gauge of followers currently blocked, observable while a flight is open.
-func (g *flightGroup) do(ctx context.Context, key flightKey, waiting *atomic.Int64, fn func() (int, []byte)) (status int, body []byte, leader bool, err error) {
-	c, isLeader := g.lookupOrStart(key)
-	if !isLeader {
-		waiting.Add(1)
-		defer waiting.Add(-1)
-		select {
-		case <-c.done:
-			return c.status, c.body, false, nil
-		case <-ctx.Done():
-			// The follower's own timeout_ms (or client disconnect) fires
-			// while the leader is still queued or executing: abandon the
-			// wait. The flight itself stays open for patient followers.
-			return 0, nil, false, ctx.Err()
-		}
-	}
-
-	// The flight MUST resolve even if fn panics (the panic then continues
-	// up to the ServeHTTP recovery middleware): leaving the key in the map
-	// with done never closed would hang every later identical query.
-	defer func() {
-		if c.status == 0 { // fn panicked before producing an outcome
-			c.status, c.body = jsonBody(http.StatusInternalServerError,
-				errorResponse{Error: "internal error (panic recovered)"})
-		}
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-		close(c.done)
-	}()
-	c.status, c.body = fn()
-	return c.status, c.body, true, nil
-}
-
-// lookupOrStart returns the open flight for key, or registers a new one
-// with this caller as its leader.
-func (g *flightGroup) lookupOrStart(key flightKey) (c *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = make(map[flightKey]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		return c, false
-	}
-	c = &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	return c, true
-}
-
-// generationOf reads the entry's data generation for the flight key.
-// Static indexes are immutable: every read observes the same data, so a
-// constant 0 coalesces them forever, which is exactly right.
-func generationOf(e *entry) uint64 {
-	if g, ok := e.ix.(polyfit.Generational); ok {
-		return g.Generation()
-	}
-	return 0
 }

@@ -70,14 +70,6 @@ type Config struct {
 	// deadline). An expired deadline abandons the query and answers 504.
 	DefaultQueryTimeout time.Duration
 
-	// CacheBytes bounds the server-side result cache (see cache.go):
-	// completed point-query responses — certified bound included — are
-	// kept keyed by (index, generation, range, eps_rel) and repeated
-	// queries are answered without touching the index until an insert or
-	// rebuild bumps the generation. 0 (the default) disables the cache;
-	// the budget covers response bodies plus per-item overhead.
-	CacheBytes int64
-
 	// Join turns the server into a read replica of the leader at this
 	// base URL (see follower.go): the registry is mirrored from the
 	// leader's snapshots + WAL streams, reads are served locally at a
@@ -152,9 +144,6 @@ func NewDurable(cfg Config) (*Server, error) {
 		maxQueue = 4 * maxConc
 	}
 	s.adm = newAdmission(maxConc, maxQueue)
-	if cfg.CacheBytes > 0 {
-		s.cache = newResultCache(cfg.CacheBytes)
-	}
 	if cfg.DataDir == "" {
 		if cfg.Join != "" {
 			s.follower = newFollower(s, cfg)
@@ -739,11 +728,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.indexes[name] = e
 	s.mu.Unlock()
-	if old != nil && s.cache != nil {
-		// The replaced entry's cached bodies are unreachable (the key holds
-		// the old pointer); release their bytes eagerly.
-		s.cache.purgeEntry(old)
-	}
 	writeJSON(w, http.StatusOK, s.statsOf(name, e))
 }
 
@@ -895,40 +879,22 @@ type ServerStats struct {
 	CorruptSkipped     int    `json:"corrupt_skipped,omitempty"`
 	TornWALBytes       int    `json:"torn_wal_bytes,omitempty"`
 
-	// Request-lifecycle counters (admission control, coalescing, deadlines,
-	// panic recovery — see admission.go). InFlight/QueuedQueries/
-	// CoalesceWaiting are point-in-time gauges; the rest are cumulative.
-	// TimedOutQueries counts genuine deadline expiries (504);
-	// CanceledQueries counts client disconnects (499) — kept apart so
-	// disconnect storms don't masquerade as serving latency.
-	// ExecutedQueries counts actual index traversals (solo queries, batch
-	// requests, and group sweeps each count one): cache hits and coalesced
-	// followers never move it.
-	InFlight         int64 `json:"in_flight"`
-	QueuedQueries    int64 `json:"queued_queries"`
-	ShedQueries      int64 `json:"shed_queries"`
-	CoalescedQueries int64 `json:"coalesced_queries"`
-	CoalesceWaiting  int64 `json:"coalesce_waiting,omitempty"`
-	TimedOutQueries  int64 `json:"timed_out_queries"`
-	CanceledQueries  int64 `json:"canceled_queries"`
-	ExecutedQueries  int64 `json:"executed_queries"`
-	PanicsRecovered  int64 `json:"panics_recovered"`
-
-	// Batched admission (see batcher.go): groups of queued point queries
-	// executed as one QueryBatch sweep, and how many queries those sweeps
-	// answered.
-	BatchedGroups  int64 `json:"batched_groups"`
-	BatchedQueries int64 `json:"batched_queries"`
-
-	// Result cache (see cache.go; all zero unless Config.CacheBytes > 0).
-	// CacheBytes is a gauge of bytes currently held against the
-	// CacheCapacity budget; the rest are cumulative.
-	CacheEnabled   bool  `json:"cache_enabled"`
-	CacheCapacity  int64 `json:"cache_capacity_bytes,omitempty"`
-	CacheBytes     int64 `json:"cache_bytes,omitempty"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEvictions int64 `json:"cache_evictions"`
+	// Request-lifecycle counters (admission control, deadlines, panic
+	// recovery — see admission.go). InFlight/QueuedQueries are
+	// point-in-time gauges; the rest are cumulative. TimedOutQueries
+	// counts genuine deadline expiries (504); CanceledQueries counts
+	// client disconnects (499) — kept apart so disconnect storms don't
+	// masquerade as serving latency. ExecutedQueries counts the point
+	// queries and batch requests that were admitted and handed to the
+	// index, one per request: shed requests and those whose context died
+	// while queued never move it.
+	InFlight        int64 `json:"in_flight"`
+	QueuedQueries   int64 `json:"queued_queries"`
+	ShedQueries     int64 `json:"shed_queries"`
+	TimedOutQueries int64 `json:"timed_out_queries"`
+	CanceledQueries int64 `json:"canceled_queries"`
+	ExecutedQueries int64 `json:"executed_queries"`
+	PanicsRecovered int64 `json:"panics_recovered"`
 
 	// Degradation counters: indexes currently serving with a sick WAL, the
 	// total failed persistence operations, and inserts acknowledged
@@ -986,13 +952,9 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 		InFlight:           s.httpInFlight.Load(),
 		QueuedQueries:      s.adm.queued.Load(),
 		ShedQueries:        s.adm.shed.Load(),
-		CoalescedQueries:   s.coalesced.Load(),
-		CoalesceWaiting:    s.coalesceWait.Load(),
 		TimedOutQueries:    s.timedOut.Load(),
 		CanceledQueries:    s.canceled.Load(),
 		ExecutedQueries:    s.executed.Load(),
-		BatchedGroups:      s.batchedGroups.Load(),
-		BatchedQueries:     s.batchedQueries.Load(),
 		PanicsRecovered:    s.panics.Load(),
 		DegradedIndexes:    degradedIndexes,
 		PersistErrors:      s.persistErrors.Load(),
@@ -1017,14 +979,6 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 			st.PerIndexShards = make(map[string][]ShardStats, len(sharded))
 		}
 		st.PerIndexShards[sx.name] = rows
-	}
-	if s.cache != nil {
-		st.CacheEnabled = true
-		st.CacheCapacity = s.cache.capacity()
-		st.CacheBytes = s.cache.bytes.Load()
-		st.CacheHits = s.cache.hits.Load()
-		st.CacheMisses = s.cache.misses.Load()
-		st.CacheEvictions = s.cache.evictions.Load()
 	}
 	if s.store != nil {
 		st.DataDir = s.store.Dir()

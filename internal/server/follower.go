@@ -265,12 +265,8 @@ func (f *follower) resync(ctx context.Context, name string) error {
 	}
 	f.s.adminMu.Lock()
 	f.s.mu.Lock()
-	old := f.s.indexes[name]
 	f.s.indexes[name] = e
 	f.s.mu.Unlock()
-	if old != nil && f.s.cache != nil {
-		f.s.cache.purgeEntry(old)
-	}
 	f.s.adminMu.Unlock()
 	f.setCursor(name, &replCursor{
 		epoch:    snap.Epoch,
@@ -287,12 +283,8 @@ func (f *follower) resync(ctx context.Context, name string) error {
 func (f *follower) removeLocal(name string) {
 	f.s.adminMu.Lock()
 	f.s.mu.Lock()
-	e, ok := f.s.indexes[name]
 	delete(f.s.indexes, name)
 	f.s.mu.Unlock()
-	if ok && f.s.cache != nil {
-		f.s.cache.purgeEntry(e)
-	}
 	f.s.adminMu.Unlock()
 	f.dropCursor(name)
 }

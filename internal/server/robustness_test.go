@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,7 @@ func overloadServer(t *testing.T, maxConc, maxQueue int) (*Server, *httptest.Ser
 	return s, ts
 }
 
-// holdQueries installs a test hook that blocks every query leader until
+// holdQueries installs a test hook that blocks every admitted query until
 // release is closed, handshaking each arrival on entered.
 func holdQueries(t *testing.T) (entered chan struct{}, release chan struct{}) {
 	t.Helper()
@@ -56,8 +57,8 @@ func TestOverloadShedsFastWith429(t *testing.T) {
 	s, ts := overloadServer(t, 1, 1)
 	entered, release := holdQueries(t)
 
-	// Distinct ranges so the three queries never coalesce: one executing
-	// (held in the hook), one queued, and the third must be shed.
+	// Three queries: one executing (held in the hook), one queued, and the
+	// third must be shed.
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
 	for i := 0; i < 2; i++ {
@@ -68,7 +69,7 @@ func TestOverloadShedsFastWith429(t *testing.T) {
 			codes[i] = resp.StatusCode
 		}(i)
 	}
-	<-entered // the executing leader holds the only slot
+	<-entered // the executing query holds the only slot
 	waitFor(t, "one queued query", func() bool { return s.adm.queued.Load() == 1 })
 
 	start := time.Now()
@@ -98,38 +99,34 @@ func TestOverloadShedsFastWith429(t *testing.T) {
 	}
 }
 
+// TestIdenticalQueriesCoalesce holds identical concurrent queries in the
+// hook, each in its own admission slot: released together, they all
+// answer 200 with identical bytes.
 func TestIdenticalQueriesCoalesce(t *testing.T) {
-	s, ts := overloadServer(t, 8, 8)
+	_, ts := overloadServer(t, 8, 8)
 	entered, release := holdQueries(t)
 
-	const followers = 7
-	bodies := make([][]byte, followers+1)
-	codes := make([]int, followers+1)
+	const n = 8
+	bodies := make([][]byte, n)
+	codes := make([]int, n)
 	var wg sync.WaitGroup
-	rawQuery := func(i int) {
-		defer wg.Done()
-		resp, err := ts.Client().Post(ts.URL+"/v1/indexes/ix/query", "application/json",
-			strings.NewReader(`{"lo": 10, "hi": 300}`))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer resp.Body.Close()
-		bodies[i], _ = io.ReadAll(resp.Body)
-		codes[i] = resp.StatusCode
-	}
-	wg.Add(1)
-	go rawQuery(0)
-	<-entered // the leader is executing; everyone after it must coalesce
-	for i := 1; i <= followers; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go rawQuery(i)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/indexes/ix/query", "application/json",
+				strings.NewReader(`{"lo": 10, "hi": 300}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], _ = io.ReadAll(resp.Body)
+			codes[i] = resp.StatusCode
+		}(i)
 	}
-	waitFor(t, "followers waiting on the leader", func() bool {
-		return s.coalesceWait.Load() == followers
-	})
-	if got := s.adm.queued.Load(); got != 0 {
-		t.Errorf("followers consumed admission queue slots: queued = %d, want 0", got)
+	for i := 0; i < n; i++ {
+		<-entered // every query holds its own slot, parked before executing
 	}
 	close(release)
 	wg.Wait()
@@ -139,14 +136,8 @@ func TestIdenticalQueriesCoalesce(t *testing.T) {
 			t.Fatalf("query %d: status %d, want 200", i, codes[i])
 		}
 		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("coalesced bodies differ: %q vs %q", bodies[i], bodies[0])
+			t.Fatalf("identical queries answered differently: %q vs %q", bodies[i], bodies[0])
 		}
-	}
-	if got := s.coalesced.Load(); got != followers {
-		t.Errorf("coalesced counter = %d, want %d", got, followers)
-	}
-	if got := s.coalesceWait.Load(); got != 0 {
-		t.Errorf("coalesce_waiting gauge = %d after completion, want 0", got)
 	}
 }
 
@@ -170,6 +161,109 @@ func TestQueryDeadlineAnswers504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired batch: got %d (%s), want 504", resp.StatusCode, e.Error)
 	}
+}
+
+// TestDeadlineWhileQueuedAnswers504 pins the queued-arm of the deadline
+// contract: a query whose deadline expires while waiting for a slot
+// answers 504 and counts timed_out, not canceled.
+func TestDeadlineWhileQueuedAnswers504(t *testing.T) {
+	s, ts := overloadServer(t, 1, 4)
+	entered, release := holdQueries(t)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 0, Hi: 400}, nil)
+	}()
+	<-entered // slot held
+
+	var e errorResponse
+	resp := post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 1, Hi: 400, TimeoutMS: 25}, &e)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued query past deadline: got %d (%s), want 504", resp.StatusCode, e.Error)
+	}
+	if got, canc := s.timedOut.Load(), s.canceled.Load(); got != 1 || canc != 0 {
+		t.Errorf("counters = {timed_out:%d canceled:%d}, want {1, 0}", got, canc)
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestClientDisconnectCounts499 is the regression test for the
+// canceled-vs-deadline bug: a client hanging up used to be folded into
+// timed_out as a 504. It must instead count canceled_queries (499-style)
+// — tested both while queued and mid-execution.
+func TestClientDisconnectCounts499(t *testing.T) {
+	t.Run("while queued", func(t *testing.T) {
+		s, ts := overloadServer(t, 1, 4)
+		entered, release := holdQueries(t)
+		defer close(release)
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			post(t, ts, "/v1/indexes/ix/query", QueryRequest{Lo: 0, Hi: 400}, nil)
+		}()
+		<-entered // slot held: the next query will queue
+
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			ts.URL+"/v1/indexes/ix/query", bytes.NewReader([]byte(`{"lo": 1, "hi": 400}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, derr := ts.Client().Do(req)
+			errc <- derr
+		}()
+		waitFor(t, "disconnecting query queued", func() bool { return s.adm.queued.Load() == 1 })
+		cancel() // client hangs up while queued
+		if derr := <-errc; derr == nil {
+			t.Fatal("canceled request unexpectedly completed")
+		}
+		waitFor(t, "canceled counter", func() bool { return s.canceled.Load() == 1 })
+		if got := s.timedOut.Load(); got != 0 {
+			t.Errorf("client disconnect inflated timed_out: %d, want 0", got)
+		}
+	})
+
+	t.Run("mid-execution", func(t *testing.T) {
+		s, ts := overloadServer(t, 4, 4)
+		// Park the executing query until its own request context dies — the
+		// context-aware hook makes "client hangs up mid-execution" exact:
+		// the index traversal provably starts after the disconnect landed.
+		executing := make(chan struct{})
+		testHookQueryDelayCtx = func(ctx context.Context) {
+			close(executing)
+			<-ctx.Done()
+		}
+		t.Cleanup(func() { testHookQueryDelayCtx = nil })
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			ts.URL+"/v1/indexes/ix/query", bytes.NewReader([]byte(`{"lo": 0, "hi": 400}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, derr := ts.Client().Do(req)
+			errc <- derr
+		}()
+		<-executing // the query holds a slot, about to traverse
+		cancel()    // client hangs up; the hook releases once the server sees it
+		if derr := <-errc; derr == nil {
+			t.Fatal("canceled request unexpectedly completed")
+		}
+		waitFor(t, "canceled counter", func() bool { return s.canceled.Load() == 1 })
+		if got := s.timedOut.Load(); got != 0 {
+			t.Errorf("client disconnect inflated timed_out: %d, want 0", got)
+		}
+	})
 }
 
 func TestPanicRecoveredTo500(t *testing.T) {
@@ -269,6 +363,77 @@ func TestDrainDeadlineExpires(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestDrainLeavesNoQueryRunning fires bursts of queries at the moment
+// Drain starts. Once Drain has returned nil, no query may reach execution:
+// one that got past the drain check before it was counted in flight would
+// run beside Close. Each round releases its burst and Drain together from
+// a spin barrier and holds one side back by a different number of spins,
+// so the rounds sweep the instant Drain reads the in-flight gauge across
+// the queries' entry into ServeHTTP.
+func TestDrainLeavesNoQueryRunning(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two CPUs to run queries beside Drain")
+	}
+	s, _ := overloadServer(t, 64, 64)
+	var drained atomic.Bool
+	var late atomic.Int64
+	testHookQueryDelay = func() {
+		if drained.Load() {
+			late.Add(1)
+		}
+	}
+	t.Cleanup(func() { testHookQueryDelay = nil })
+
+	// One query per spare CPU, so every goroutine of a round really spins.
+	burst := min(runtime.GOMAXPROCS(0)-1, 4)
+	var spins atomic.Int64 // a sink, so the delay loops are not optimised away
+	spin := func(n int) {
+		for i := 0; i < n; i++ {
+			spins.Add(1)
+		}
+	}
+	const rounds = 2000
+	for round := 0; round < rounds && late.Load() == 0; round++ {
+		// Drain is one-way; reopen the server for the next round.
+		s.draining.Store(false)
+		drained.Store(false)
+		offset := round%64 - 32 // < 0 holds the burst back, > 0 holds Drain back
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		var ready atomic.Int64
+		var fire atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < burst; g++ {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/indexes/ix/query",
+				strings.NewReader(`{"lo": 0, "hi": 100}`))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ready.Add(1)
+				for !fire.Load() {
+				}
+				spin(-offset)
+				s.ServeHTTP(rec, req)
+			}()
+		}
+		for ready.Load() < int64(burst) {
+			runtime.Gosched()
+		}
+		fire.Store(true)
+		spin(offset)
+		err := s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: Drain: %v", round, err)
+		}
+		drained.Store(true)
+		wg.Wait()
+	}
+	if n := late.Load(); n > 0 {
+		t.Fatalf("%d queries reached execution after Drain returned nil", n)
+	}
 }
 
 // --- WAL degradation ---------------------------------------------------------

@@ -14,12 +14,13 @@
 // write-ahead log before the response goes out, and the registry is
 // recovered on boot (see durability.go for the full contract).
 //
-// The server is also overload- and fault-safe: every query runs under a
-// deadline (per-request timeout_ms or the server default) and reports 504
-// when it expires; a bounded admission queue sheds excess queries with
-// 429 + Retry-After instead of queueing unboundedly; identical concurrent
-// queries coalesce onto one execution (see admission.go); request bodies
-// are capped per route (413); handler panics are recovered to a 500; and
+// The server is also overload- and fault-safe. A point query takes the
+// same path as a batch: decode → admit → execute → encode. Every query
+// runs under a deadline (per-request timeout_ms or the server default) and
+// reports 504 when it expires (499 when the client hung up instead); a
+// bounded admission queue sheds excess queries with 429 + Retry-After
+// instead of queueing unboundedly (see admission.go); request bodies are
+// capped per route (413); handler panics are recovered to a 500; and
 // Drain stops new work while in-flight requests finish. When the disk
 // goes bad, inserts degrade to acknowledged-but-not-durable (200 with
 // durable:false) rather than blocking or failing — the forced-snapshot
@@ -76,9 +77,12 @@ type entry struct {
 	// sharded, sharded dynamic — serves the same polyfit.Index contract, so
 	// the handlers never switch on concrete types.
 	ix polyfit.Index
-	// ins is ix's Inserter capability (nil for static indexes); shd its
+	// cq is ix's deadline-aware query surface, which every index
+	// polyfit.New, Open and Assemble return implements. ins is ix's
+	// Inserter capability (nil for static indexes); shd its
 	// ShardSnapshotter capability (nil unless sharded dynamic), the unit of
 	// per-shard durability.
+	cq  polyfit.ContextQuerier
 	ins polyfit.Inserter
 	shd polyfit.ShardSnapshotter
 
@@ -106,13 +110,6 @@ type entry struct {
 	persistErrors atomic.Int64
 	nonDurable    atomic.Int64
 
-	// Result-cache accounting for this index (always zero on servers with
-	// the cache disabled): hits and misses against this entry's cached
-	// bodies, and the bytes they currently occupy (see cache.go).
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	cacheBytes  atomic.Int64
-
 	// Leader-side replication coordinates: the incarnation of this
 	// entry's sequence space and the per-WAL stream origins (see
 	// replication.go).
@@ -121,7 +118,7 @@ type entry struct {
 
 // newEntry wraps an index, discovering its optional capabilities once.
 func newEntry(ix polyfit.Index) *entry {
-	e := &entry{ix: ix}
+	e := &entry{ix: ix, cq: ix.(polyfit.ContextQuerier)}
 	e.ins, _ = ix.(polyfit.Inserter)
 	e.shd, _ = ix.(polyfit.ShardSnapshotter)
 	return e
@@ -149,22 +146,14 @@ type Server struct {
 	walAppended      atomic.Int64
 	recovery         RecoverySummary
 
-	// Overload control (see admission.go), result cache (cache.go), and
-	// batched admission (batcher.go), plus request-lifecycle state.
+	// Overload control (see admission.go) and request-lifecycle state.
 	adm            *admission
-	flight         flightGroup
-	cache          *resultCache // nil when Config.CacheBytes == 0 (cache off)
-	batcher        queryBatcher
 	defaultTimeout time.Duration
 	draining       atomic.Bool  // Drain/Close called: new requests get 503
 	httpInFlight   atomic.Int64 // requests currently inside ServeHTTP
-	coalesced      atomic.Int64 // queries answered from another query's flight
-	coalesceWait   atomic.Int64 // gauge: followers blocked on a leader right now
 	timedOut       atomic.Int64 // queries that ran out of deadline (504)
 	canceled       atomic.Int64 // queries abandoned by client disconnect (499)
-	executed       atomic.Int64 // index traversals: solo queries, batches, group sweeps
-	batchedGroups  atomic.Int64 // queued point-query groups executed as one sweep
-	batchedQueries atomic.Int64 // point queries claimed by a group sweep
+	executed       atomic.Int64 // admitted queries and batches that reached the index
 	panics         atomic.Int64 // handler panics recovered to a 500
 	persistErrors  atomic.Int64 // failed persistence operations, server-wide
 	nonDurableIns  atomic.Int64 // inserts acknowledged durable:false, server-wide
@@ -219,13 +208,15 @@ func newServer() *Server {
 // handler is recovered to a 500 instead of tearing down the connection
 // (and, under http.Server, the whole goroutine's request).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Count the request before checking the drain flag: Drain sets the flag
+	// before reading the gauge, so either Drain sees this request and waits
+	// for it, or this request sees the flag and is turned away.
+	s.httpInFlight.Add(1)
+	defer s.httpInFlight.Add(-1)
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, errors.New("server is shutting down"))
 		return
 	}
-	s.httpInFlight.Add(1)
-	defer s.httpInFlight.Add(-1)
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Add(1)
@@ -323,13 +314,6 @@ type StatsResponse struct {
 	PersistDegraded   bool  `json:"persist_degraded,omitempty"`
 	PersistErrors     int64 `json:"persist_errors,omitempty"`
 	NonDurableInserts int64 `json:"non_durable_inserts,omitempty"`
-
-	// Result-cache counters (only on servers with Config.CacheBytes > 0):
-	// hits and misses against this index's cached responses, and the bytes
-	// they currently occupy in the shared cache budget.
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
-	CacheBytes  int64 `json:"cache_bytes,omitempty"`
 }
 
 // ShardStats is one shard's row in a sharded index's StatsResponse.
@@ -590,12 +574,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var dropErr error
 	if ok {
 		dropErr = s.dropPersisted(name, e)
-		if s.cache != nil {
-			// Release the dead entry's cached bodies now instead of letting
-			// them squat on the byte budget until they age out (the entry
-			// pointer in the key already makes them unreachable).
-			s.cache.purgeEntry(e)
-		}
 	}
 	s.adminMu.Unlock()
 	if !ok {
@@ -628,39 +606,51 @@ func (s *Server) queryContext(r *http.Request, timeoutMS int64) (context.Context
 // no named constant for it.
 const statusClientClosedRequest = 499
 
-// cancelFailure maps a dead query context to a response, distinguishing
-// the two ways it dies: the deadline genuinely expired (504, counted in
-// timed_out) versus the client hung up first (499, counted in
-// canceled_queries). Folding disconnects into timed_out would inflate
-// the timeout signal operators alert on — a disconnect storm is a client
-// problem, an expiry storm is a serving-latency problem.
-func (s *Server) cancelFailure(err error, during string) (int, []byte) {
-	if errors.Is(err, context.Canceled) {
+// admitted is the path /query and /batch share once the request is
+// decoded: one admission slot for the whole request (a batch is the
+// amortised path — per-range slots would serialise it pointlessly), then
+// exec under the request's deadline, then the encoded answer.
+func (s *Server) admitted(w http.ResponseWriter, r *http.Request, timeoutMS int64, exec func(context.Context) (any, error)) {
+	ctx, cancel := s.queryContext(r, timeoutMS)
+	defer cancel()
+	if err := s.adm.acquire(ctx); err != nil {
+		s.writeQueryError(w, err, "while queued")
+		return
+	}
+	defer s.adm.release()
+	runQueryDelayHooks(ctx)
+	s.executed.Add(1)
+	out, err := exec(ctx)
+	if err != nil {
+		s.writeQueryError(w, err, "during execution")
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// writeQueryError answers a query that was not admitted or failed to
+// execute. A shed is a 429. A dead context is told apart by how it died:
+// the deadline expired (504, counted in timed_out) or the client hung up
+// first (499, counted in canceled_queries). Folding disconnects into
+// timed_out would inflate the timeout signal operators alert on — a
+// disconnect storm is a client problem, an expiry storm is a
+// serving-latency problem. Any other error is the request's own: 409
+// when the exact fallback it needs is disabled, else 400.
+func (s *Server) writeQueryError(w http.ResponseWriter, err error, during string) {
+	switch {
+	case errors.Is(err, errShed):
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, context.Canceled):
 		s.canceled.Add(1)
-		return jsonBody(statusClientClosedRequest,
-			errorResponse{Error: fmt.Sprintf("client closed request %s: %v", during, err)})
+		writeError(w, statusClientClosedRequest, fmt.Errorf("client closed request %s: %w", during, err))
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timedOut.Add(1)
+		writeError(w, http.StatusGatewayTimeout, fmt.Errorf("query deadline expired %s: %w", during, err))
+	case errors.Is(err, polyfit.ErrNoFallback):
+		writeError(w, http.StatusConflict, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
 	}
-	s.timedOut.Add(1)
-	return jsonBody(http.StatusGatewayTimeout,
-		errorResponse{Error: fmt.Sprintf("query deadline expired %s: %v", during, err)})
-}
-
-// admissionFailure maps an acquire error to a response: shed → 429 (the
-// Retry-After header is added by writeRaw), context death while queued →
-// 504 or 499 per cancelFailure.
-func (s *Server) admissionFailure(err error) (int, []byte) {
-	if errors.Is(err, errShed) {
-		return jsonBody(http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-	}
-	return s.cancelFailure(err, "while queued")
-}
-
-// queryFailure maps a query-execution error to a response body.
-func (s *Server) queryFailure(err error) (int, []byte) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return s.cancelFailure(err, "during execution")
-	}
-	return jsonBody(queryErrStatus(err), errorResponse{Error: err.Error()})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -677,66 +667,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("non-positive relative error %g", req.EpsRel))
 		return
 	}
-	ctx, cancel := s.queryContext(r, req.TimeoutMS)
-	defer cancel()
-	// The query path is cache → coalesce → admit → execute. The flight key
-	// doubles as the cache key: the generation in it is read before any of
-	// the three stages, so a query that arrives after an insert never
-	// shares a pre-insert flight — and never hits a pre-insert cache line.
-	key := flightKey{e: e, gen: generationOf(e), lo: req.Lo, hi: req.Hi, epsRel: req.EpsRel}
-	if s.cache != nil {
-		if body, ok := s.cache.get(key); ok {
-			e.cacheHits.Add(1)
-			writeRaw(w, http.StatusOK, body)
-			return
+	s.admitted(w, r, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		rng := polyfit.Range{Lo: req.Lo, Hi: req.Hi}
+		var res polyfit.Result
+		var err error
+		if req.EpsRel > 0 {
+			res, err = e.cq.QueryRelContext(ctx, rng, req.EpsRel)
+		} else {
+			res, err = e.cq.QueryContext(ctx, rng)
 		}
-		e.cacheMisses.Add(1)
-	}
-	// Coalesce identical concurrent queries. Only the leader proceeds to
-	// admission; followers repeat its bytes — or abandon the wait when
-	// their own context dies first (ferr), which is their deadline, not
-	// the leader's.
-	status, body, leader, ferr := s.flight.do(ctx, key, &s.coalesceWait, func() (int, []byte) {
-		return s.pointQuery(ctx, e, req, key)
+		return QueryResponse{Value: res.Value, Found: res.Found, Exact: res.Exact, Bound: res.Bound}, err
 	})
-	if ferr != nil {
-		status, body = s.cancelFailure(ferr, "waiting on a coalesced query")
-		writeRaw(w, status, body)
-		return
-	}
-	if !leader {
-		s.coalesced.Add(1)
-	}
-	if leader && status == http.StatusOK && s.cache != nil {
-		s.cache.put(key, body)
-	}
-	writeRaw(w, status, body)
-}
-
-// execQuery runs one range query under ctx, preferring the context-aware
-// surface when the index provides it (every index polyfit.New builds
-// does). The marshalled body — not the decoded struct — is what coalesced
-// followers share, so identical queries return bitwise-identical bytes.
-func (s *Server) execQuery(ctx context.Context, e *entry, req QueryRequest) (int, []byte) {
-	s.executed.Add(1)
-	r2 := polyfit.Range{Lo: req.Lo, Hi: req.Hi}
-	var res polyfit.Result
-	var err error
-	cq, _ := e.ix.(polyfit.ContextQuerier)
-	switch {
-	case req.EpsRel > 0 && cq != nil:
-		res, err = cq.QueryRelContext(ctx, r2, req.EpsRel)
-	case req.EpsRel > 0:
-		res, err = e.ix.QueryRel(r2, req.EpsRel)
-	case cq != nil:
-		res, err = cq.QueryContext(ctx, r2)
-	default:
-		res, err = e.ix.Query(r2)
-	}
-	if err != nil {
-		return s.queryFailure(err)
-	}
-	return jsonBody(http.StatusOK, QueryResponse{Value: res.Value, Found: res.Found, Exact: res.Exact, Bound: res.Bound})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -749,41 +690,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	ctx, cancel := s.queryContext(r, req.TimeoutMS)
-	defer cancel()
-	// Batches take one admission slot for the whole request (they are the
-	// amortised path — per-range slots would serialise them pointlessly)
-	// and are not coalesced: two identical batches are far rarer than two
-	// identical point queries, and the key would have to hash every range.
-	if err := s.adm.acquire(ctx); err != nil {
-		status, body := s.admissionFailure(err)
-		writeRaw(w, status, body)
-		return
-	}
-	defer s.adm.release()
-	runQueryDelayHooks(ctx)
-	ranges := make([]polyfit.Range, len(req.Ranges))
-	for i, rr := range req.Ranges {
-		ranges[i] = polyfit.Range{Lo: rr.Lo, Hi: rr.Hi}
-	}
-	s.executed.Add(1)
-	var results []polyfit.Result
-	var err error
-	if cq, ok := e.ix.(polyfit.ContextQuerier); ok {
-		results, err = cq.QueryBatchContext(ctx, ranges)
-	} else {
-		results, err = e.ix.QueryBatch(ranges)
-	}
-	if err != nil {
-		status, body := s.queryFailure(err)
-		writeRaw(w, status, body)
-		return
-	}
-	out := BatchResponse{Results: make([]QueryResponse, len(results))}
-	for i, res := range results {
-		out.Results[i] = QueryResponse{Value: res.Value, Found: res.Found, Bound: res.Bound}
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.admitted(w, r, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		ranges := make([]polyfit.Range, len(req.Ranges))
+		for i, rr := range req.Ranges {
+			ranges[i] = polyfit.Range{Lo: rr.Lo, Hi: rr.Hi}
+		}
+		results, err := e.cq.QueryBatchContext(ctx, ranges)
+		if err != nil {
+			return nil, err
+		}
+		out := BatchResponse{Results: make([]QueryResponse, len(results))}
+		for i, res := range results {
+			out.Results[i] = QueryResponse{Value: res.Value, Found: res.Found, Bound: res.Bound}
+		}
+		return out, nil
+	})
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -986,11 +907,6 @@ func (s *Server) statsOf(name string, e *entry) StatsResponse {
 			out.ShardStats = append(out.ShardStats, row)
 		}
 	}
-	if s.cache != nil {
-		out.CacheHits = e.cacheHits.Load()
-		out.CacheMisses = e.cacheMisses.Load()
-		out.CacheBytes = e.cacheBytes.Load()
-	}
 	if s.store != nil {
 		out.Durable = true
 		out.Snapshots = e.snapshots.Load()
@@ -1013,20 +929,19 @@ func (s *Server) statsOf(name string, e *entry) StatsResponse {
 	return out
 }
 
-func queryErrStatus(err error) int {
-	if errors.Is(err, polyfit.ErrNoFallback) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
+// writeError answers a structured error. The backpressure statuses — 429
+// shed, 503 draining — carry Retry-After so well-behaved clients pace
+// their retries.
 func writeError(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
@@ -1045,26 +960,4 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// jsonBody marshals v once into the bytes a response (and every coalesced
-// follower of it) will carry. Marshalling QueryResponse cannot fail; a
-// trailing newline matches writeJSON's encoder output.
-func jsonBody(status int, v any) (int, []byte) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return http.StatusInternalServerError, []byte(`{"error":"encode response"}` + "\n")
-	}
-	return status, append(b, '\n')
-}
-
-// writeRaw writes a pre-marshalled JSON body, attaching Retry-After to
-// backpressure statuses so well-behaved clients pace their retries.
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck
 }
