@@ -60,8 +60,8 @@ chaos:
 cluster:
 	$(GO) run ./cmd/polyfit-crashtest -cluster
 
-# Per-package coverage floor for the accuracy-critical packages
-# (internal/core, internal/segment, internal/server fail under 75%).
+# Per-package coverage floor for the accuracy-critical packages (the root
+# package, internal/core, internal/segment, internal/server fail under 75%).
 cover:
 	./scripts/check-coverage.sh
 

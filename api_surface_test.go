@@ -23,10 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/api.txt from the
 // TestAPISurface snapshots every exported identifier of the root package —
 // funcs, methods on exported types, types (with exported struct fields and
 // interface methods), consts and vars — and fails when the surface drifts
-// from testdata/api.txt. This is the accidental-breakage guard for the
-// deprecated v1 wrappers: the redesign promises existing callers keep
-// compiling, so any change to the exported surface must be deliberate
-// (reviewed via an update to the golden file), never a side effect.
+// from testdata/api.txt: any change to the exported surface must be
+// deliberate (reviewed via an update to the golden file), never a side
+// effect.
 func TestAPISurface(t *testing.T) {
 	got := exportedSurface(t)
 	golden := filepath.Join("testdata", "api.txt")

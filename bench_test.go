@@ -634,10 +634,12 @@ func BenchmarkDynamicConcurrentThroughput(b *testing.B) {
 		name := map[int]string{0: "ReadOnly", 1: "WithInserts"}[writers]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			d, err := polyfit.NewDynamicCountIndex(f.tweetKeys, polyfit.Options{EpsAbs: 100, DisableFallback: true})
+			ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: f.tweetKeys},
+				polyfit.WithMaxError(100), polyfit.WithFallback(false), polyfit.WithDynamic())
 			if err != nil {
 				b.Fatal(err)
 			}
+			d := ix.(polyfit.Inserter)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
@@ -660,7 +662,7 @@ func BenchmarkDynamicConcurrentThroughput(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					q := f.qs1D[int(qi.Add(1))&1023]
-					if _, _, err := d.Query(q.L, q.U); err != nil {
+					if _, err := ix.Query(polyfit.Range{Lo: q.L, Hi: q.U}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -146,12 +146,12 @@ func New(spec Spec, opts ...Option) (Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &dynamicIndex{inner: inner}, nil
+		return newDynamicIndex(inner), nil
 	default:
 		inner, err := core.Build(spec.Agg, keys, measures, copt)
 		if err != nil {
 			return nil, err
 		}
-		return &staticIndex{inner: inner}, nil
+		return newStaticIndex(inner), nil
 	}
 }

@@ -136,56 +136,73 @@ func TestBuilderBoundOracle(t *testing.T) {
 				t.Fatalf("%s max batch [%g,%g]: %+v misses exact %g", layout, r.Lo, r.Hi, mb, eMax)
 			}
 		}
-		// Empty COUNT/SUM ranges answer exactly 0 with Bound 0.
-		res, err := sum.Query(polyfit.Range{Lo: 10, Hi: 5})
+		// Empty (inverted) COUNT/SUM ranges answer exactly 0 with Bound 0 on
+		// every query path, and the relative path needs no fallback for them.
+		empty := polyfit.Range{Lo: 10, Hi: 5}
+		res, err := sum.Query(empty)
 		if err != nil || res.Value != 0 || res.Bound != 0 {
 			t.Fatalf("%s sum empty range: %+v (%v), want value 0 bound 0", layout, res, err)
+		}
+		res, err = sum.QueryRel(empty, 0.01)
+		if err != nil || res.Value != 0 || res.Bound != 0 || res.Exact {
+			t.Fatalf("%s sum empty range QueryRel: %+v (%v), want value 0 bound 0 not exact", layout, res, err)
+		}
+		batch, err := sum.QueryBatch([]polyfit.Range{ranges[0], empty})
+		if err != nil || batch[1].Value != 0 || batch[1].Bound != 0 || batch[1].Exact {
+			t.Fatalf("%s sum empty range QueryBatch: %+v (%v), want value 0 bound 0 not exact", layout, batch, err)
 		}
 	}
 }
 
-// TestQueryRelBoundSymmetry pins the satellite fix: static and dynamic
-// QueryRel populate Result.Bound exactly like the sharded variants — the
-// δ-derived guarantee on the approximate path, 0 on the exact path — on
-// both the v1 wrappers and the Index interface.
+// TestQueryRelBoundSymmetry pins that every layout populates
+// Result.Bound on QueryRel the same way — the δ-derived guarantee on the
+// approximate path (2δ per touched shard for COUNT), 0 on the exact path
+// and on an inverted range.
 func TestQueryRelBoundSymmetry(t *testing.T) {
 	keys, _ := builderDataset(3000, 7)
-	// Small enough that the Lemma 3 gate A ≥ 2δ(1+1/εrel) passes on the
-	// wide range below (A ≈ 2900 ≫ 8·101).
-	const eps = 8.0
-	st, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := polyfit.NewDynamicCountIndex(keys, polyfit.Options{EpsAbs: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := [2]float64{keys[10], keys[2900]} // approximate gate passes
-	tiny := [2]float64{keys[0] - 2, keys[0] - 1}
-	for name, q := range map[string]func(lo, hi, e float64) (polyfit.Result, error){
-		"static":  st.QueryRel,
-		"dynamic": dyn.QueryRel,
-	} {
-		res, err := q(wide[0], wide[1], 0.01)
+	// Small enough that the Lemma 3 gate A ≥ 2δ·m(1+1/εrel) passes on the
+	// wide range below even across five shards (A ≈ 2890 ≫ 5·8·21).
+	const eps, epsRel = 8.0, 0.05
+	wide := polyfit.Range{Lo: keys[10], Hi: keys[2900]} // approximate gate passes
+	tiny := polyfit.Range{Lo: keys[0] - 2, Hi: keys[0] - 1}
+	for layout, extra := range layoutOptions() {
+		ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys},
+			append([]polyfit.Option{polyfit.WithMaxError(eps)}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := 1 // shards the wide range overlaps
+		if sh, ok := ix.(polyfit.Sharder); ok {
+			for _, b := range sh.Bounds() {
+				if wide.Lo < b && b <= wide.Hi {
+					touched++
+				}
+			}
+		}
+		res, err := ix.QueryRel(wide, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Exact {
-			t.Fatalf("%s: wide range unexpectedly took the exact path", name)
+			t.Fatalf("%s: wide range unexpectedly took the exact path", layout)
 		}
-		if res.Bound != eps { // 2δ = εabs for COUNT
-			t.Errorf("%s approximate QueryRel: Bound %g, want %g", name, res.Bound, eps)
+		if want := eps * float64(touched); res.Bound != want { // 2δ = εabs per shard for COUNT
+			t.Errorf("%s approximate QueryRel: Bound %g, want %g", layout, res.Bound, want)
 		}
-		res, err = q(tiny[0], tiny[1], 0.01)
+		res, err = ix.QueryRel(tiny, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Exact {
-			t.Fatalf("%s: empty range did not take the exact path", name)
+			t.Fatalf("%s: empty range did not take the exact path", layout)
 		}
 		if res.Bound != 0 {
-			t.Errorf("%s exact QueryRel: Bound %g, want 0", name, res.Bound)
+			t.Errorf("%s exact QueryRel: Bound %g, want 0", layout, res.Bound)
+		}
+		// An inverted range is empty: exactly 0 without the exact path.
+		res, err = ix.QueryRel(polyfit.Range{Lo: wide.Hi, Hi: wide.Lo}, epsRel)
+		if err != nil || res.Value != 0 || res.Exact || res.Bound != 0 {
+			t.Errorf("%s inverted QueryRel: %+v (%v), want value 0 bound 0 not exact", layout, res, err)
 		}
 	}
 }
@@ -197,7 +214,7 @@ func TestSentinelErrors(t *testing.T) {
 	spec := polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures}
 
 	for layout, extra := range layoutOptions() {
-		// ErrBadOptions: no error budget (identity-preserved for v1 callers).
+		// ErrBadOptions: no error budget.
 		if _, err := polyfit.New(spec, extra...); !errors.Is(err, polyfit.ErrBadOptions) {
 			t.Errorf("%s: no-eps build: got %v, want ErrBadOptions", layout, err)
 		}
@@ -238,6 +255,16 @@ func TestSentinelErrors(t *testing.T) {
 		if _, err := bare.QueryRel(polyfit.Range{Lo: keys[0] - 3, Hi: keys[0] - 2}, 0.01); !errors.Is(err, polyfit.ErrNoFallback) {
 			t.Errorf("%s: gate miss without fallback: got %v, want ErrNoFallback", layout, err)
 		}
+		// An inverted range is empty, so it needs no fallback: a
+		// fallback-free MAX index answers it not found, on every layout.
+		bareMax, err := polyfit.New(polyfit.Spec{Agg: polyfit.Max, Keys: keys, Measures: measures},
+			append(opts, polyfit.WithFallback(false))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := bareMax.QueryRel(polyfit.Range{Lo: keys[9], Hi: keys[2]}, 0.01); err != nil || res.Found {
+			t.Errorf("%s: inverted range without fallback: got %+v, %v, want not found", layout, res, err)
+		}
 		// ErrDuplicateKey on insertable layouts.
 		if ins, ok := ix.(polyfit.Inserter); ok {
 			if err := ins.Insert(keys[5], 1); !errors.Is(err, polyfit.ErrDuplicateKey) {
@@ -246,26 +273,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	}
 
-	// The v1 wrappers share the adapters' NaN validation (same surface,
-	// same behavior) and WithDegree ignores non-positive values per the
-	// Option contract.
-	v1, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v1.Query(math.NaN(), 50); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 NaN Query: got %v, want ErrInvalidRange", err)
-	}
-	if _, err := v1.QueryBatch([]polyfit.Range{{Lo: math.NaN(), Hi: 1}}); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 NaN QueryBatch: got %v, want ErrInvalidRange", err)
-	}
-	sh1, err := polyfit.NewSharded(polyfit.Count, keys, nil, polyfit.ShardOptions{Options: polyfit.Options{EpsAbs: 10}, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh1.QueryWithBound(math.NaN(), 50); !errors.Is(err, polyfit.ErrInvalidRange) {
-		t.Errorf("v1 sharded NaN QueryWithBound: got %v, want ErrInvalidRange", err)
-	}
+	// WithDegree ignores non-positive values per the Option contract.
 	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys},
 		polyfit.WithMaxError(10), polyfit.WithDegree(-3)); err != nil {
 		t.Errorf("WithDegree(-3) should be a no-op, got %v", err)
@@ -275,9 +283,9 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Agg(9), Keys: keys}, polyfit.WithMaxError(1)); !errors.Is(err, polyfit.ErrAggMismatch) {
 		t.Errorf("unknown aggregate: got %v, want ErrAggMismatch", err)
 	}
-	// ErrBadOptions identity for v1 callers (compared with ==, not only Is).
-	if _, err := polyfit.NewCountIndex(keys, polyfit.Options{}); err != polyfit.ErrBadOptions {
-		t.Errorf("v1 no-eps build: got %v, want ErrBadOptions (identity)", err)
+	// ErrBadOptions identity (compared with ==, not only Is).
+	if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}); err != polyfit.ErrBadOptions {
+		t.Errorf("no-eps build: got %v, want ErrBadOptions (identity)", err)
 	}
 	// 2D: NaN rectangles and non-positive epsRel wrap ErrInvalidRange; the
 	// bound mirrors Lemma 6 (4δ = εabs).
@@ -285,20 +293,20 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix2.Query(math.NaN(), 1, 0, 1); !errors.Is(err, polyfit.ErrInvalidRange) {
+	if _, err := ix2.Query(math.NaN(), 1, 0, 1); !errors.Is(err, polyfit.ErrInvalidRange) {
 		t.Errorf("2D NaN Query: got %v, want ErrInvalidRange", err)
 	}
 	if _, err := ix2.QueryRel(0, 1, 0, 1, -1); !errors.Is(err, polyfit.ErrInvalidRange) {
 		t.Errorf("2D epsRel<0: got %v, want ErrInvalidRange", err)
 	}
-	if res, err := ix2.QueryWithBound(keys[0], keys[400], measures[0]-1, measures[0]+100); err != nil || res.Bound != 40 {
-		t.Errorf("2D QueryWithBound: bound %g (%v), want 40 (= 4δ = εabs)", res.Bound, err)
+	if res, err := ix2.Query(keys[0], keys[400], measures[0]-1, measures[0]+100); err != nil || res.Bound != 40 {
+		t.Errorf("2D Query: bound %g (%v), want 40 (= 4δ = εabs)", res.Bound, err)
 	}
 }
 
 // TestBuilderLayoutCapabilities pins which capabilities each layout
-// exposes, and that v1 constructors produce the same indexes as the builder
-// (delegation, not duplication).
+// exposes, and that an unsharded index answers exactly like a one-shard
+// sharded one (both are the same engine's one-shard case).
 func TestBuilderLayoutCapabilities(t *testing.T) {
 	keys, measures := builderDataset(2000, 17)
 	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures},
@@ -319,22 +327,21 @@ func TestBuilderLayoutCapabilities(t *testing.T) {
 	if st := ix.Stats(); st.Shards != 4 || st.Records != len(keys) {
 		t.Fatalf("Stats = %+v, want 4 shards over %d records", st, len(keys))
 	}
-	// The v1 wrapper and the builder must produce bitwise-identical answers
-	// for the same configuration (the wrapper delegates to the builder).
-	v1, err := polyfit.NewSumIndex(keys, measures, polyfit.Options{EpsAbs: 25})
+	spec := polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures}
+	one, err := polyfit.New(spec, polyfit.WithMaxError(25), polyfit.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures}, polyfit.WithMaxError(25))
+	plain, err := polyfit.New(spec, polyfit.WithMaxError(25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < 200; q++ {
-		lo, hi := keys[q], keys[len(keys)-1-q]
-		a, _, _ := v1.Query(lo, hi)
-		b, err := v2.Query(polyfit.Range{Lo: lo, Hi: hi})
-		if err != nil || math.Float64bits(a) != math.Float64bits(b.Value) {
-			t.Fatalf("v1 vs builder divergence at (%g,%g]: %g vs %g (%v)", lo, hi, a, b.Value, err)
+		r := polyfit.Range{Lo: keys[q], Hi: keys[len(keys)-1-q]}
+		a, _ := one.Query(r)
+		b, err := plain.Query(r)
+		if err != nil || math.Float64bits(a.Value) != math.Float64bits(b.Value) || a.Bound != b.Bound {
+			t.Fatalf("one-shard vs unsharded divergence at (%g,%g]: %+v vs %+v (%v)", r.Lo, r.Hi, a, b, err)
 		}
 	}
 }

@@ -29,6 +29,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -289,7 +290,7 @@ func microBenchmarks(quick bool) []Result {
 	results = append(results, measure("sharded/query_span_all_shards", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := shardedFine.RangeSum(spanLo, spanHi); err != nil {
+			if _, err := shardedFine.Query(context.Background(), core.Range{Lo: spanLo, Hi: spanHi}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -299,7 +300,7 @@ func microBenchmarks(quick bool) []Result {
 	results = append(results, measure("sharded/query_shard_interior", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := shardedFine.RangeSum(inLo, inHi); err != nil {
+			if _, err := shardedFine.Query(context.Background(), core.Range{Lo: inLo, Hi: inHi}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -311,7 +312,7 @@ func microBenchmarks(quick bool) []Result {
 	results = append(results, measure(fmt.Sprintf("sharded/query_batch_%d", len(batchRanges)), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := shardedFine.QueryBatch(batchRanges); err != nil {
+			if _, err := shardedFine.QueryBatch(context.Background(), batchRanges); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -369,7 +370,7 @@ func microBenchmarks(quick bool) []Result {
 		results = append(results, measure(fmt.Sprintf("encoding/sharded_query_batch_%d_%s", len(batchRanges), enc), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := encSharded.QueryBatch(batchRanges); err != nil {
+				if _, err := encSharded.QueryBatch(context.Background(), batchRanges); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,9 +25,13 @@
 //	// res.Value within res.Bound (≤ 100) of the exact count
 //	rel, _ := ix.QueryRel(polyfit.Range{Lo: lo, Hi: hi}, 0.01) // ≤1% error
 //
-// Every index implements the Index interface — Query, QueryRel, QueryBatch,
-// Stats, MarshalBinary — and every answer is a Result carrying the
-// certified absolute error bound in Result.Bound, whatever the layout.
+// Every index implements the Index interface — Query, QueryRel, QueryBatch
+// and their context-taking twins, Stats, MarshalBinary — and every answer
+// is a Result carrying the certified absolute error bound in Result.Bound,
+// whatever the layout. All layouts answer through one query engine, so the
+// εrel gate, the exact fallback and the bound (composed across shards when
+// sharded) are the same code for each; an unsharded index is its one-shard
+// case.
 // Functional options pick the layout and tuning:
 //
 //	polyfit.WithMaxError(eps)   // absolute guarantee εabs (or WithDelta(δ))
@@ -63,30 +67,6 @@
 // //polyfit:nofloat functions, and error-checked Sync/Close on
 // write-opened files — with per-line exceptions via
 // "//lint:ignore <analyzer> reason".
-//
-// # Migrating from the v1 API
-//
-// The v1 per-variant constructors and concrete types remain as thin
-// deprecated wrappers over the builder, so existing code compiles
-// unchanged. New code should use the builder:
-//
-//	v1                                          v2
-//	----------------------------------------    ------------------------------------------------
-//	NewCountIndex(keys, Options{EpsAbs: e})     New(Spec{Agg: Count, Keys: keys}, WithMaxError(e))
-//	NewSumIndex(k, m, opt)                      New(Spec{Agg: Sum, Keys: k, Measures: m}, ...)
-//	NewDynamicCountIndex(keys, opt)             New(spec, ..., WithDynamic())
-//	NewSharded(agg, k, m, ShardOptions{...})    New(spec, ..., WithShards(n))
-//	NewShardedDynamic(agg, k, m, sopt)          New(spec, ..., WithDynamic(), WithShards(n))
-//	ix.Query(lo, hi) (v, found, err)            ix.Query(Range{lo, hi}) (Result, err)
-//	sharded.QueryWithBound(lo, hi)              ix.Query(Range{lo, hi})   // Bound on every variant
-//	var ix Index; ix.UnmarshalBinary(blob)      ix, err := Open(blob)     // any blob kind
-//	AssembleShardedDynamic(bounds, blobs)       Assemble(bounds, blobs)
-//	dyn.Insert / dyn.Rebuild                    ix.(Inserter).Insert / Rebuild
-//	sharded.NumShards / Bounds / ShardStats     ix.(Sharder).NumShards / Bounds / ShardStats
-//
-// (The v1 static struct is now named StaticIndex; `polyfit.Index` is the
-// interface. Code that spelled the struct type explicitly is the one
-// intentional break.)
 //
 // # Guarantees
 //
@@ -222,10 +202,9 @@
 // NewCount2DIndex builds the Section VI variant: a quadtree of bivariate
 // polynomial surfaces over the cumulative count surface, answering
 // rectangle COUNT queries with four surface evaluations. Its contract
-// mirrors the 1D one adapted to rectangles: QueryWithBound and QueryRel
-// return the same Result with the certified 4δ bound (Lemma 6), NaN
-// rectangles are rejected with ErrInvalidRange, and Open2D restores
-// serialised blobs.
+// mirrors the 1D one adapted to rectangles: Query and QueryRel return the
+// same Result with the certified 4δ bound (Lemma 6), NaN rectangles are
+// rejected with ErrInvalidRange, and Open2D restores serialised blobs.
 //
 // # Persistence
 //
@@ -347,9 +326,9 @@
 //   - Placement (cluster.Split / cluster.Deploy) regroups a sharded
 //     index's POLS container into per-node sub-indexes with disjoint key
 //     ownership; the router partitions inserts by cut key and merges
-//     query partials with the same bound composition the in-process
-//     sharded index uses, so Result.Bound stays a certified over-estimate
-//     across process boundaries.
+//     query partials with the same merge function the in-process sharded
+//     index uses, so Result.Bound stays a certified over-estimate across
+//     process boundaries.
 //
 // The tier inherits the durability contract unchanged: kill -9 any single
 // node and the router keeps answering reads; kill -9 the leader and every

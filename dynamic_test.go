@@ -7,13 +7,28 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 )
+
+// newDynamic builds an insertable index through New.
+func newDynamic(spec Spec, opts ...Option) (*dynamicIndex, error) {
+	ix, err := New(spec, append(opts, WithDynamic())...)
+	if err != nil {
+		return nil, err
+	}
+	return ix.(*dynamicIndex), nil
+}
+
+// newDynamicCount builds an insertable COUNT index over keys.
+func newDynamicCount(keys []float64, opts ...Option) (*dynamicIndex, error) {
+	return newDynamic(Spec{Agg: Count, Keys: keys}, opts...)
+}
 
 func TestDynamicCountEndToEnd(t *testing.T) {
 	keys := data.GenTweet(3000, 61)
 	const eps = 40.0
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: eps})
+	d, err := newDynamicCount(keys, WithMaxError(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +40,8 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 			all = append(all, k)
 		}
 	}
-	if d.Len() != len(all) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(all))
+	if d.Stats().Records != len(all) {
+		t.Fatalf("Records = %d, want %d", d.Stats().Records, len(all))
 	}
 	for q := 0; q < 200; q++ {
 		l := all[rng.Intn(len(all))]
@@ -34,7 +49,7 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		got, _, err := d.Query(l, u)
+		res, err := d.Query(Range{Lo: l, Hi: u})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,8 +59,8 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 				want++
 			}
 		}
-		if math.Abs(got-want) > eps+1e-6 {
-			t.Fatalf("|%g − %g| > εabs", got, want)
+		if math.Abs(res.Value-want) > eps+1e-6 {
+			t.Fatalf("|%g − %g| > εabs", res.Value, want)
 		}
 	}
 	st := d.Stats()
@@ -56,7 +71,7 @@ func TestDynamicCountEndToEnd(t *testing.T) {
 
 func TestDynamicMaxEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(2000, 63)
-	d, err := NewDynamicMaxIndex(keys, measures, Options{EpsAbs: 100})
+	d, err := newDynamic(Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +80,13 @@ func TestDynamicMaxEndToEnd(t *testing.T) {
 	if err := d.Insert(peakKey, 99999); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := d.Query(keys[0], peakKey+1)
-	if err != nil || !found {
-		t.Fatalf("query: %v %v", err, found)
+	whole := Range{Lo: keys[0], Hi: peakKey + 1}
+	res, err := d.Query(whole)
+	if err != nil || !res.Found {
+		t.Fatalf("query: %v %v", err, res.Found)
 	}
-	if v < 99999-100 {
-		t.Errorf("inserted peak lost: %g", v)
+	if res.Value < 99999-100 {
+		t.Errorf("inserted peak lost: %g", res.Value)
 	}
 	if err := d.Rebuild(); err != nil {
 		t.Fatal(err)
@@ -78,21 +94,21 @@ func TestDynamicMaxEndToEnd(t *testing.T) {
 	if d.BufferLen() != 0 {
 		t.Error("buffer survived rebuild")
 	}
-	v, _, _ = d.Query(keys[0], peakKey+1)
-	if v < 99999-100 {
-		t.Errorf("peak lost after rebuild: %g", v)
+	res, _ = d.Query(whole)
+	if res.Value < 99999-100 {
+		t.Errorf("peak lost after rebuild: %g", res.Value)
 	}
 }
 
 func TestDynamicOptionsValidation(t *testing.T) {
-	if _, err := NewDynamicCountIndex(data.GenTweet(100, 64), Options{}); err != ErrBadOptions {
+	if _, err := newDynamicCount(data.GenTweet(100, 64)); err != ErrBadOptions {
 		t.Errorf("want ErrBadOptions, got %v", err)
 	}
 }
 
 func TestDynamicQueryRel(t *testing.T) {
 	keys := data.GenTweet(3000, 65)
-	d, err := NewDynamicCountIndex(keys, Options{Delta: 50})
+	d, err := newDynamicCount(keys, WithDelta(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +127,7 @@ func TestDynamicQueryRel(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		res, err := d.QueryRel(l, u, epsRel)
+		res, err := d.QueryRel(Range{Lo: l, Hi: u}, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,31 +143,32 @@ func TestDynamicQueryRel(t *testing.T) {
 	}
 }
 
-// DisableFallback is honored now instead of being silently forced on: a
+// WithFallback(false) is honored instead of being silently forced on: a
 // fallback-free dynamic index answers absolute queries but returns
 // ErrNoFallback when the relative gate cannot certify the bound.
 func TestDynamicDisableFallbackHonored(t *testing.T) {
 	keys := data.GenTweet(2000, 67)
-	d, err := NewDynamicCountIndex(keys, Options{Delta: 50, DisableFallback: true})
+	d, err := newDynamicCount(keys, WithDelta(50), WithFallback(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.FallbackBytes != 0 {
 		t.Errorf("DisableFallback ignored: %d fallback bytes", st.FallbackBytes)
 	}
-	if _, _, err := d.Query(10, 20); err != nil {
+	if _, err := d.Query(Range{Lo: 10, Hi: 20}); err != nil {
 		t.Errorf("absolute query: %v", err)
 	}
 	// An empty range can never pass the Lemma 3 gate.
-	if _, err := d.QueryRel(keys[0], keys[0], 0.01); err != ErrNoFallback {
+	point := Range{Lo: keys[0], Hi: keys[0]}
+	if _, err := d.QueryRel(point, 0.01); err != ErrNoFallback {
 		t.Errorf("want ErrNoFallback, got %v", err)
 	}
 	// With the fallback built (the default), the same query succeeds.
-	df, err := NewDynamicCountIndex(keys, Options{Delta: 50})
+	df, err := newDynamicCount(keys, WithDelta(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := df.QueryRel(keys[0], keys[0], 0.01); err != nil {
+	if _, err := df.QueryRel(point, 0.01); err != nil {
 		t.Errorf("fallback path: %v", err)
 	}
 }
@@ -160,7 +177,7 @@ func TestDynamicDisableFallbackHonored(t *testing.T) {
 // and the prefix-aggregate array (24 B per buffered record), not 16 B.
 func TestDynamicStatsBufferAccounting(t *testing.T) {
 	keys := data.GenTweet(1500, 68)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50})
+	d, err := newDynamicCount(keys, WithMaxError(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +196,7 @@ func TestDynamicStatsBufferAccounting(t *testing.T) {
 
 func TestDynamicQueryBatchMatchesSerial(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 69)
-	d, err := NewDynamicMaxIndex(keys, measures, Options{EpsAbs: 100})
+	d, err := newDynamic(Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,20 +218,20 @@ func TestDynamicQueryBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range ranges {
-		want, ok, err := d.Query(r.Lo, r.Hi)
+		want, err := d.Query(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i].Found != ok || (ok && batch[i].Value != want) {
+		if batch[i].Found != want.Found || (want.Found && batch[i].Value != want.Value) {
 			t.Fatalf("range %d: batch (%g,%v), serial (%g,%v)",
-				i, batch[i].Value, batch[i].Found, want, ok)
+				i, batch[i].Value, batch[i].Found, want.Value, want.Found)
 		}
 	}
 }
 
 func TestDynamicMarshalRoundTrip(t *testing.T) {
 	keys := data.GenTweet(2000, 71)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50})
+	d, err := newDynamicCount(keys, WithMaxError(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,30 +250,31 @@ func TestDynamicMarshalRoundTrip(t *testing.T) {
 	if DetectBlob(blob) != BlobDynamic {
 		t.Errorf("dynamic blob detected as %v", DetectBlob(blob))
 	}
-	loaded := &DynamicIndex{}
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	opened, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.Len(), d.Len(); got != want {
+	loaded := opened.(*dynamicIndex)
+	if got, want := loaded.Stats().Records, d.Stats().Records; got != want {
 		t.Errorf("loaded index has %d records, want %d", got, want)
 	}
 	if got := loaded.BufferLen(); got != 10 {
 		t.Errorf("loaded buffer has %d inserts, want 10 (restore must keep the buffer a buffer)", got)
 	}
 	// Nothing is re-fitted on restore, so every answer agrees bit-for-bit.
-	for _, q := range [][2]float64{{10, 1e7}, {-90, 90}, {1e6 - 1, 1e6 + 4}, {5, 5}} {
-		want, _, _ := d.Query(q[0], q[1])
-		got, _, err := loaded.Query(q[0], q[1])
+	for _, q := range []Range{{Lo: 10, Hi: 1e7}, {Lo: -90, Hi: 90}, {Lo: 1e6 - 1, Hi: 1e6 + 4}, {Lo: 5, Hi: 5}} {
+		want, _ := d.Query(q)
+		got, err := loaded.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("Query(%g,%g): loaded answers %g, want %g", q[0], q[1], got, want)
+			t.Errorf("Query(%g,%g): loaded answers %+v, want %+v", q.Lo, q.Hi, got, want)
 		}
 	}
 	// The fallback was enabled at build time, so the restored index must
 	// serve relative-error queries too (the old format lost this).
-	res, err := loaded.QueryRel(1e6-1, 1e6+4, 0.01)
+	res, err := loaded.QueryRel(Range{Lo: 1e6 - 1, Hi: 1e6 + 4}, 0.01)
 	if err != nil {
 		t.Fatalf("QueryRel on restored index: %v", err)
 	}
@@ -264,14 +282,14 @@ func TestDynamicMarshalRoundTrip(t *testing.T) {
 		t.Errorf("QueryRel counted %g buffered inserts, want 5", res.Value)
 	}
 	// A static index must refuse the dynamic blob with a useful error.
-	if err := (&StaticIndex{}).UnmarshalBinary(blob); err == nil {
+	if err := new(core.Index1D).UnmarshalBinary(blob); err == nil {
 		t.Error("static UnmarshalBinary accepted a dynamic blob")
 	}
 }
 
 func TestDynamicMarshalPreservesDisabledFallback(t *testing.T) {
 	keys := data.GenTweet(1000, 72)
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: 50, DisableFallback: true})
+	d, err := newDynamicCount(keys, WithMaxError(50), WithFallback(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +297,13 @@ func TestDynamicMarshalPreservesDisabledFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := &DynamicIndex{}
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A tiny range cannot pass the Lemma 3 gate, so this must surface
-	// ErrNoFallback — the restored index honours DisableFallback.
-	if _, err := loaded.QueryRel(keys[0], keys[0], 0.01); err != ErrNoFallback {
+	// ErrNoFallback — the restored index honours WithFallback(false).
+	if _, err := loaded.QueryRel(Range{Lo: keys[0], Hi: keys[0]}, 0.01); err != ErrNoFallback {
 		t.Errorf("QueryRel on fallback-less restored index: %v, want ErrNoFallback", err)
 	}
 	if loaded.Stats().FallbackBytes != 0 {
@@ -299,7 +317,7 @@ func TestDynamicMarshalPreservesDisabledFallback(t *testing.T) {
 func TestDynamicConcurrentUse(t *testing.T) {
 	keys := data.GenTweet(3000, 73)
 	const eps = 50.0
-	d, err := NewDynamicCountIndex(keys, Options{EpsAbs: eps})
+	d, err := newDynamicCount(keys, WithMaxError(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +363,12 @@ func TestDynamicConcurrentUse(t *testing.T) {
 				default:
 				}
 				floor := float64(len(keys)) + float64(inserted.Load())
-				v, found, err := d.Query(-1e7, 1e7)
-				if err != nil || !found {
-					t.Errorf("query: %v %v", err, found)
+				res, err := d.Query(Range{Lo: -1e7, Hi: 1e7})
+				if err != nil || !res.Found {
+					t.Errorf("query: %v %v", err, res.Found)
 					return
 				}
+				v := res.Value
 				ceil := float64(len(keys)) + float64(attempted.Load())
 				if v < floor-eps-1e-6 || v > ceil+eps+1e-6 {
 					t.Errorf("count %g outside [%g, %g] ± ε", v, floor, ceil)
@@ -362,7 +381,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := d.QueryRel(-90, 90, 0.01); err != nil {
+					if _, err := d.QueryRel(Range{Lo: -90, Hi: 90}, 0.01); err != nil {
 						t.Error(err)
 						return
 					}
@@ -375,7 +394,7 @@ func TestDynamicConcurrentUse(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got, want := d.Len(), len(keys)+int(inserted.Load()); got != want {
-		t.Errorf("Len = %d, want %d", got, want)
+	if got, want := d.Stats().Records, len(keys)+int(inserted.Load()); got != want {
+		t.Errorf("Records = %d, want %d", got, want)
 	}
 }

@@ -25,20 +25,19 @@ var (
 	// interpret: NaN range endpoints, NaN rectangle coordinates, or a
 	// non-positive relative error.
 	ErrInvalidRange = core.ErrInvalidRange
-	// ErrCorruptBlob is returned by Open, Open2D, Assemble and every
-	// UnmarshalBinary when a serialised blob is corrupt, truncated, or
-	// internally inconsistent. Garbage input is always rejected with an
+	// ErrCorruptBlob is returned by Open, Open2D and Assemble when a
+	// serialised blob is corrupt, truncated, or internally inconsistent. Garbage input is always rejected with an
 	// error wrapping this sentinel — never a panic.
 	ErrCorruptBlob = core.ErrBadFormat
 	// ErrNoFallback is returned by relative-error queries when the index
-	// carries no exact fallback (built with WithFallback(false) /
-	// DisableFallback, or loaded from a static blob).
+	// carries no exact fallback (built with WithFallback(false) or
+	// Options2D.DisableFallback, or loaded from a static blob).
 	ErrNoFallback = core.ErrNoFallback
 	// ErrDuplicateKey is returned by Inserter.Insert when the key is already
 	// present (in the base index or the delta buffer).
 	ErrDuplicateKey = core.ErrDuplicateKey
 	// ErrBadOptions reports an invalid build configuration: neither a max
-	// error (WithMaxError / Options.EpsAbs) nor a fitting tolerance
-	// (WithDelta / Options.Delta) was set positive.
+	// error (WithMaxError / Options2D.EpsAbs) nor a fitting tolerance
+	// (WithDelta / Options2D.Delta) was set positive.
 	ErrBadOptions = errors.New("polyfit: either a max error or a fitting tolerance δ must be positive")
 )

@@ -53,20 +53,20 @@ func ExampleOpen() {
 	// Output: restored: insertable=true shards=4
 }
 
-// ExampleNewCountIndex builds a COUNT index over a small sorted key set and
+// ExampleNew_count builds a COUNT index over a small sorted key set and
 // answers a range count within the requested absolute error.
-func ExampleNewCountIndex() {
+func ExampleNew_count() {
 	keys := make([]float64, 1000)
 	for i := range keys {
 		keys[i] = float64(i) * 1.5 // sorted, distinct
 	}
-	ix, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: 4})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}, polyfit.WithMaxError(4))
 	if err != nil {
 		panic(err)
 	}
 	// Count keys in (150, 300]: exactly 100 of them (151.5, 153, ..., 300).
-	v, _, _ := ix.Query(150, 300)
-	fmt.Printf("count ≈ %.0f (exact 100, guarantee ±4)\n", v)
+	res, _ := ix.Query(polyfit.Range{Lo: 150, Hi: 300})
+	fmt.Printf("count ≈ %.0f (exact 100, guarantee ±4)\n", res.Value)
 	// Output: count ≈ 100 (exact 100, guarantee ±4)
 }
 
@@ -78,11 +78,11 @@ func ExampleIndex_QueryRel() {
 	for i := range keys {
 		keys[i] = float64(i * i) // quadratic spacing → curved CDF
 	}
-	ix, err := polyfit.NewCountIndex(keys, polyfit.Options{Delta: 10})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}, polyfit.WithDelta(10))
 	if err != nil {
 		panic(err)
 	}
-	res, err := ix.QueryRel(keys[100], keys[4900], 0.01)
+	res, err := ix.QueryRel(polyfit.Range{Lo: keys[100], Hi: keys[4900]}, 0.01)
 	if err != nil {
 		panic(err)
 	}
@@ -95,36 +95,38 @@ func ExampleIndex_QueryRel() {
 	// Output: within 1%: true (exact path used: false)
 }
 
-// ExampleNewMaxIndex answers a range MAX from the polynomial segments plus
-// the per-segment exact maxima.
-func ExampleNewMaxIndex() {
+// ExampleNew_max answers a range MAX from the polynomial segments plus the
+// per-segment exact maxima.
+func ExampleNew_max() {
 	keys := make([]float64, 0, 100)
 	vals := make([]float64, 0, 100)
 	for i := 0; i < 100; i++ {
 		keys = append(keys, float64(i))
 		vals = append(vals, float64(50-absInt(i-50))) // tent: peak 50 at i=50
 	}
-	ix, err := polyfit.NewMaxIndex(keys, vals, polyfit.Options{EpsAbs: 1})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Max, Keys: keys, Measures: vals}, polyfit.WithMaxError(1))
 	if err != nil {
 		panic(err)
 	}
-	v, found, _ := ix.Query(10, 90)
-	fmt.Printf("max ≈ %.0f found=%v (exact 50, guarantee ±1)\n", v, found)
+	res, _ := ix.Query(polyfit.Range{Lo: 10, Hi: 90})
+	fmt.Printf("max ≈ %.0f found=%v (exact 50, guarantee ±1)\n", res.Value, res.Found)
 	// Output: max ≈ 50 found=true (exact 50, guarantee ±1)
 }
 
-// ExampleDynamicIndex demonstrates the insert-supporting variant: the delta
+// ExampleInserter demonstrates the insert-supporting layout: the delta
 // buffer is aggregated exactly, so the guarantee survives updates.
-func ExampleDynamicIndex() {
+func ExampleInserter() {
 	keys := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	d, err := polyfit.NewDynamicCountIndex(keys, polyfit.Options{EpsAbs: 2})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys},
+		polyfit.WithMaxError(2), polyfit.WithDynamic())
 	if err != nil {
 		panic(err)
 	}
+	d := ix.(polyfit.Inserter)
 	_ = d.Insert(2.5, 1)
 	_ = d.Insert(3.5, 1)
-	v, _, _ := d.Query(2, 4) // keys in (2,4]: {2.5, 3, 3.5, 4}
-	fmt.Printf("count ≈ %.0f of 4 (buffer %d)\n", v, d.BufferLen())
+	res, _ := ix.Query(polyfit.Range{Lo: 2, Hi: 4}) // keys in (2,4]: {2.5, 3, 3.5, 4}
+	fmt.Printf("count ≈ %.0f of 4 (buffer %d)\n", res.Value, d.BufferLen())
 	// Output: count ≈ 4 of 4 (buffer 2)
 }
 
@@ -134,15 +136,15 @@ func ExampleIndex_marshal() {
 	for i := range keys {
 		keys[i] = float64(i)
 	}
-	ix, _ := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: 2})
+	ix, _ := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}, polyfit.WithMaxError(2))
 	blob, _ := ix.MarshalBinary()
 	loaded, err := polyfit.Open(blob)
 	if err != nil {
 		panic(err)
 	}
-	a, _, _ := ix.Query(50, 150)
+	a, _ := ix.Query(polyfit.Range{Lo: 50, Hi: 150})
 	b, _ := loaded.Query(polyfit.Range{Lo: 50, Hi: 150})
-	fmt.Printf("same answer after round-trip: %v\n", a == b.Value)
+	fmt.Printf("same answer after round-trip: %v\n", a == b)
 	// Output: same answer after round-trip: true
 }
 

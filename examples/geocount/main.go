@@ -32,11 +32,11 @@ func main() {
 	for lat := 90.0; lat > -90; lat -= 20 {
 		fmt.Print("  ")
 		for lon := -180.0; lon < 180; lon += 20 {
-			v, _, _ := ix.Query(lon, lon+20, lat-20, lat)
+			res, _ := ix.Query(lon, lon+20, lat-20, lat)
 			switch {
-			case v >= 5000:
+			case res.Value >= 5000:
 				fmt.Print("#")
-			case v >= 1000:
+			case res.Value >= 1000:
 				fmt.Print("+")
 			default:
 				fmt.Print(".")
@@ -51,7 +51,7 @@ func main() {
 	qs := data.UniformRects(-180, 180, -90, 90, 500, 6)
 	worst, within := 0.0, 0
 	for _, q := range qs {
-		got, _ := ix.QueryWithBound(q.XLo, q.XHi, q.YLo, q.YHi)
+		got, _ := ix.Query(q.XLo, q.XHi, q.YLo, q.YHi)
 		res, _ := ix.QueryRel(q.XLo, q.XHi, q.YLo, q.YHi, 1e-9) // forces exact fallback
 		e := math.Abs(got.Value - res.Value)
 		if e <= got.Bound {

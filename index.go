@@ -2,8 +2,6 @@ package polyfit
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"repro/internal/core"
 )
@@ -24,7 +22,7 @@ type Result struct {
 	// Found is false when a MIN/MAX range contains no records.
 	Found bool
 	// Bound is the certified absolute error bound on Value: 0 for exact
-	// answers (empty COUNT/SUM ranges included), 2δ for COUNT/SUM and δ for
+	// answers (inverted, empty ranges included), 2δ for COUNT/SUM and δ for
 	// MIN/MAX approximate answers (Lemmas 2 and 4), the additively composed
 	// 2δ·m for a sharded COUNT/SUM range touching m shards (sharded MIN/MAX
 	// stays δ — extremum error does not accumulate across shards), and 4δ
@@ -38,10 +36,15 @@ type Result struct {
 // one. Additional capabilities are discoverable via type assertion:
 // insert-supporting variants implement Inserter, range-partitioned ones
 // Sharder, and sharded dynamic ones ShardSnapshotter.
+//
+// Every layout answers through the same query engine, so a range gets the
+// same kind of answer whatever the layout: NaN endpoints are rejected with
+// ErrInvalidRange, and an inverted range (Hi < Lo) is empty — COUNT/SUM
+// answer exactly 0 and MIN/MAX not found, with Bound 0, and QueryRel needs
+// no exact fallback for it.
 type Index interface {
 	// Query answers the approximate range aggregate with the build-time
-	// absolute guarantee, reported per answer in Result.Bound. NaN endpoints
-	// are rejected with ErrInvalidRange.
+	// absolute guarantee, reported per answer in Result.Bound.
 	Query(r Range) (Result, error)
 	// QueryRel answers within the relative error epsRel (Problem 2): either
 	// the approximate gate certifies the bound, or the exact fallback
@@ -50,6 +53,16 @@ type Index interface {
 	// QueryBatch answers many ranges in one call through the amortised batch
 	// path; results are returned in input order, each with its own Bound.
 	QueryBatch(ranges []Range) ([]Result, error)
+	// QueryContext, QueryRelContext and QueryBatchContext are the same
+	// queries under a context. Deadlines are best-effort abandonment at
+	// natural boundaries, never mid-computation: a sharded query checks ctx
+	// between shards, a batch between chunks of ranges. A cut-short call
+	// reports ctx.Err() (context.DeadlineExceeded or context.Canceled) and
+	// never a partial Result; a nil-error answer is bit-identical to the
+	// plain method's.
+	QueryContext(ctx context.Context, r Range) (Result, error)
+	QueryRelContext(ctx context.Context, r Range, epsRel float64) (Result, error)
+	QueryBatchContext(ctx context.Context, ranges []Range) ([]Result, error)
 	// Stats returns structural information about the index.
 	Stats() Stats
 	// MarshalBinary serialises the index; polyfit.Open restores it.
@@ -92,179 +105,68 @@ type ShardSnapshotter interface {
 	RebuildShard(i int) error
 }
 
-// validateRanges rejects NaN endpoints up front: they would otherwise route
-// arbitrarily through the segment (and shard) search and silently produce a
-// garbage answer with a meaningless bound.
-func validateRanges(ranges ...Range) error {
-	for _, r := range ranges {
-		if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) {
-			return fmt.Errorf("%w: NaN range endpoint (%g, %g)", ErrInvalidRange, r.Lo, r.Hi)
-		}
-	}
-	return nil
+// queries is the one implementation of Index's query methods, shared by
+// every layout. The core engine answers each query — an unsharded index
+// is its one-shard case — and owns the range validation, the εrel gate
+// and the bound; this adapter only converts its answers.
+type queries struct{ eng *core.Engine }
+
+func (q queries) Query(r Range) (Result, error) {
+	return q.QueryContext(context.Background(), r)
 }
 
-// sumBound is the absolute error bound of an unsharded approximate
-// COUNT/SUM answer over r: 2δ (Lemma 2), or 0 for an empty (inverted)
-// range, whose answer is exactly 0.
-func sumBound(delta float64, r Range) float64 {
-	if r.Hi < r.Lo {
-		return 0
-	}
-	return 2 * delta
+func (q queries) QueryRel(r Range, epsRel float64) (Result, error) {
+	return q.QueryRelContext(context.Background(), r, epsRel)
 }
 
-// approxBound is the absolute error bound of an unsharded relative-error
-// answer: 2δ for COUNT/SUM, δ for MIN/MAX, 0 when the exact fallback
-// answered.
-func approxBound(agg Agg, delta float64, exact bool) float64 {
-	if exact {
-		return 0
-	}
-	if agg == Count || agg == Sum {
-		return 2 * delta
-	}
-	return delta
+func (q queries) QueryBatch(ranges []Range) ([]Result, error) {
+	return q.QueryBatchContext(context.Background(), ranges)
 }
 
-// batchResults lifts core batch answers into uniform Results. shardsOf, when
-// non-nil, reports how many shards a range touched (the m of the composed
-// COUNT/SUM bound); unsharded variants pass nil for m = 1.
-func batchResults(agg Agg, delta float64, ranges []Range, br []core.BatchResult, shardsOf func(Range) int) []Result {
-	out := make([]Result, len(br))
-	for i, b := range br {
-		res := Result{Value: b.Value, Found: b.Found}
-		switch agg {
-		case Count, Sum:
-			if ranges[i].Hi >= ranges[i].Lo {
-				m := 1
-				if shardsOf != nil {
-					m = shardsOf(ranges[i])
-				}
-				res.Bound = 2 * delta * float64(m)
-			}
-		default:
-			res.Bound = delta
-		}
-		out[i] = res
-	}
-	return out
+func (q queries) QueryContext(ctx context.Context, r Range) (Result, error) {
+	res, err := q.eng.Query(ctx, r)
+	return Result(res), err
 }
 
-// --- static ----------------------------------------------------------------
-
-type staticIndex struct{ inner *core.Index1D }
-
-func (ix *staticIndex) Query(r Range) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	switch ix.inner.Aggregate() {
-	case Count, Sum:
-		v, err := ix.inner.RangeSum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: true, Bound: sumBound(ix.inner.Delta(), r)}, nil
-	default:
-		v, ok, err := ix.inner.RangeExtremum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: ok, Bound: ix.inner.Delta()}, nil
-	}
+func (q queries) QueryRelContext(ctx context.Context, r Range, epsRel float64) (Result, error) {
+	res, err := q.eng.QueryRel(ctx, r, epsRel)
+	return Result(res), err
 }
 
-func (ix *staticIndex) QueryRel(r Range, epsRel float64) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	agg, delta := ix.inner.Aggregate(), ix.inner.Delta()
-	switch agg {
-	case Count, Sum:
-		v, exact, err := ix.inner.RangeSumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: true, Bound: approxBound(agg, delta, exact)}, nil
-	default:
-		v, exact, ok, err := ix.inner.RangeExtremumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: ok, Bound: approxBound(agg, delta, exact)}, nil
-	}
-}
-
-func (ix *staticIndex) QueryBatch(ranges []Range) ([]Result, error) {
-	if err := validateRanges(ranges...); err != nil {
-		return nil, err
-	}
-	br, err := ix.inner.QueryBatch(ranges)
+func (q queries) QueryBatchContext(ctx context.Context, ranges []Range) ([]Result, error) {
+	res, err := q.eng.QueryBatch(ctx, ranges)
 	if err != nil {
 		return nil, err
 	}
-	return batchResults(ix.inner.Aggregate(), ix.inner.Delta(), ranges, br, nil), nil
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result(r)
+	}
+	return out, nil
+}
+
+// The four layouts differ only in how they report stats, serialise, and
+// which capabilities they add.
+
+type staticIndex struct {
+	queries
+	inner *core.Index1D
+}
+
+func newStaticIndex(inner *core.Index1D) *staticIndex {
+	return &staticIndex{queries{inner.Engine()}, inner}
 }
 
 func (ix *staticIndex) Stats() Stats                   { return stats1D(ix.inner) }
 func (ix *staticIndex) MarshalBinary() ([]byte, error) { return ix.inner.MarshalBinary() }
 
-// --- dynamic ---------------------------------------------------------------
-
-type dynamicIndex struct{ inner *core.Dynamic1D }
-
-func (ix *dynamicIndex) Query(r Range) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	delta := ix.inner.Base().Delta()
-	switch ix.inner.Aggregate() {
-	case Count, Sum:
-		v, err := ix.inner.RangeSum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: true, Bound: sumBound(delta, r)}, nil
-	default:
-		v, ok, err := ix.inner.RangeExtremum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: ok, Bound: delta}, nil
-	}
+type dynamicIndex struct {
+	queries
+	inner *core.Dynamic1D
 }
 
-func (ix *dynamicIndex) QueryRel(r Range, epsRel float64) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	agg, delta := ix.inner.Aggregate(), ix.inner.Base().Delta()
-	switch agg {
-	case Count, Sum:
-		v, exact, err := ix.inner.RangeSumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: true, Bound: approxBound(agg, delta, exact)}, nil
-	default:
-		v, exact, ok, err := ix.inner.RangeExtremumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: ok, Bound: approxBound(agg, delta, exact)}, nil
-	}
-}
-
-func (ix *dynamicIndex) QueryBatch(ranges []Range) ([]Result, error) {
-	if err := validateRanges(ranges...); err != nil {
-		return nil, err
-	}
-	br, err := ix.inner.QueryBatch(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(ix.inner.Aggregate(), ix.inner.Base().Delta(), ranges, br, nil), nil
+func newDynamicIndex(inner *core.Dynamic1D) *dynamicIndex {
+	return &dynamicIndex{queries{inner.Engine()}, inner}
 }
 
 func (ix *dynamicIndex) Stats() Stats                   { return statsDynamic(ix.inner) }
@@ -274,96 +176,13 @@ func (ix *dynamicIndex) Insert(key, measure float64) error { return ix.inner.Ins
 func (ix *dynamicIndex) Rebuild() error                    { return ix.inner.Rebuild() }
 func (ix *dynamicIndex) BufferLen() int                    { return ix.inner.BufferLen() }
 
-// --- sharded ---------------------------------------------------------------
-
-// shardedCore is the query surface the shared sharded adapter needs; both
-// *core.Sharded1D and *core.ShardedDynamic1D satisfy it (the methods come
-// from the one shardSet scatter-gather engine plus the per-type Rel paths).
-type shardedCore interface {
-	Aggregate() Agg
-	Delta() float64
-	RangeSum(lq, uq float64) (val, bound float64, err error)
-	RangeExtremum(lq, uq float64) (val, bound float64, ok bool, err error)
-	RangeSumRel(lq, uq, epsRel float64) (val, bound float64, usedExact bool, err error)
-	RangeExtremumRel(lq, uq, epsRel float64) (val, bound float64, usedExact, ok bool, err error)
-	QueryBatch(ranges []Range) ([]core.BatchResult, error)
-	ShardsTouched(lq, uq float64) int
-	// Context-honoring variants: the scatter-gather abandons untouched
-	// shards when ctx expires (see ContextQuerier).
-	RangeSumCtx(ctx context.Context, lq, uq float64) (val, bound float64, err error)
-	RangeExtremumCtx(ctx context.Context, lq, uq float64) (val, bound float64, ok bool, err error)
-	RangeSumRelCtx(ctx context.Context, lq, uq, epsRel float64) (val, bound float64, usedExact bool, err error)
-	RangeExtremumRelCtx(ctx context.Context, lq, uq, epsRel float64) (val, bound float64, usedExact, ok bool, err error)
-	QueryBatchCtx(ctx context.Context, ranges []Range) ([]core.BatchResult, error)
-}
-
-// shardedQueries is the Query/QueryRel/QueryBatch adapter shared by the
-// static and dynamic sharded Index implementations, so a validation or
-// bound fix can never apply to one layout and silently miss the other.
-type shardedQueries struct{ c shardedCore }
-
-func (s shardedQueries) Query(r Range) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	switch s.c.Aggregate() {
-	case Count, Sum:
-		// The core engine already answers inverted ranges as exactly 0 with
-		// bound 0, so the result passes through unadjusted.
-		v, bound, err := s.c.RangeSum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: true, Bound: bound}, nil
-	default:
-		v, bound, ok, err := s.c.RangeExtremum(r.Lo, r.Hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Found: ok, Bound: bound}, nil
-	}
-}
-
-func (s shardedQueries) QueryRel(r Range, epsRel float64) (Result, error) {
-	if err := validateRanges(r); err != nil {
-		return Result{}, err
-	}
-	switch s.c.Aggregate() {
-	case Count, Sum:
-		v, bound, exact, err := s.c.RangeSumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: true, Bound: bound}, nil
-	default:
-		v, bound, exact, ok, err := s.c.RangeExtremumRel(r.Lo, r.Hi, epsRel)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Value: v, Exact: exact, Found: ok, Bound: bound}, nil
-	}
-}
-
-func (s shardedQueries) QueryBatch(ranges []Range) ([]Result, error) {
-	if err := validateRanges(ranges...); err != nil {
-		return nil, err
-	}
-	br, err := s.c.QueryBatch(ranges)
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(s.c.Aggregate(), s.c.Delta(), ranges, br, func(r Range) int {
-		return s.c.ShardsTouched(r.Lo, r.Hi)
-	}), nil
-}
-
 type shardedIndex struct {
-	shardedQueries
+	queries
 	inner *core.Sharded1D
 }
 
 func newShardedIndex(inner *core.Sharded1D) *shardedIndex {
-	return &shardedIndex{shardedQueries: shardedQueries{c: inner}, inner: inner}
+	return &shardedIndex{queries{&inner.Engine}, inner}
 }
 
 func (ix *shardedIndex) Stats() Stats                   { return statsSharded(ix.inner) }
@@ -374,15 +193,13 @@ func (ix *shardedIndex) ShardOf(k float64) int { return ix.inner.ShardOf(k) }
 func (ix *shardedIndex) Bounds() []float64     { return ix.inner.Bounds() }
 func (ix *shardedIndex) ShardStats() []Stats   { return shardStatsStatic(ix.inner) }
 
-// --- sharded dynamic -------------------------------------------------------
-
 type shardedDynamicIndex struct {
-	shardedQueries
+	queries
 	inner *core.ShardedDynamic1D
 }
 
 func newShardedDynamicIndex(inner *core.ShardedDynamic1D) *shardedDynamicIndex {
-	return &shardedDynamicIndex{shardedQueries: shardedQueries{c: inner}, inner: inner}
+	return &shardedDynamicIndex{queries{&inner.Engine}, inner}
 }
 
 func (ix *shardedDynamicIndex) Stats() Stats                   { return statsShardedDynamic(ix.inner) }

@@ -6,8 +6,9 @@ package cluster
 // standalone POLS blob a node restores as an ordinary index. The cuts
 // between runs become the placement map — the router partitions inserts by
 // key against them, and answers reads by fanning the query to every node
-// and merging the disjoint partial aggregates (sums add, extrema combine;
-// the key sets are disjoint by construction, so no clipping is needed).
+// and merging the disjoint partial answers with core.Merge, the same rule
+// the shard gather inside one process uses (the key sets are disjoint by
+// construction, so no clipping is needed).
 
 import (
 	"bytes"
@@ -20,6 +21,7 @@ import (
 	"sort"
 
 	polyfit "repro"
+	"repro/internal/core"
 )
 
 // PlacedIndex is the router's placement map for one sharded index split
@@ -27,9 +29,9 @@ import (
 // open ends at the extremes).
 type PlacedIndex struct {
 	Name string
-	// Agg is the index aggregate ("count", "sum", "min", "max") — it
-	// decides how per-node partial answers merge.
-	Agg string
+	// Agg is the index aggregate — it decides how per-node partial answers
+	// merge. Split and Deploy take it from the blob.
+	Agg polyfit.Agg
 	// Cuts are the len(Nodes)−1 key boundaries between nodes, ascending.
 	Cuts []float64
 	// Nodes are the base URLs owning each key span, in cut order.
@@ -42,23 +44,24 @@ func (p *PlacedIndex) nodeOf(k float64) int {
 }
 
 // Split cuts a sharded-dynamic POLS blob into nodes standalone POLS
-// blobs of contiguous shard runs, plus the key cuts between them. nodes
-// must not exceed the shard count — shards are the placement granularity.
-func Split(blob []byte, nodes int) (parts [][]byte, cuts []float64, err error) {
+// blobs of contiguous shard runs, plus the key cuts between them and the
+// aggregate the blob records. nodes must not exceed the shard count —
+// shards are the placement granularity.
+func Split(blob []byte, nodes int) (parts [][]byte, cuts []float64, agg polyfit.Agg, err error) {
 	if nodes < 1 {
-		return nil, nil, fmt.Errorf("cluster: split into %d nodes", nodes)
+		return nil, nil, 0, fmt.Errorf("cluster: split into %d nodes", nodes)
 	}
 	ix, err := polyfit.Open(blob)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: split: %w", err)
+		return nil, nil, 0, fmt.Errorf("cluster: split: %w", err)
 	}
 	snap, ok := ix.(polyfit.ShardSnapshotter)
 	if !ok {
-		return nil, nil, fmt.Errorf("cluster: split: blob is not a sharded dynamic index")
+		return nil, nil, 0, fmt.Errorf("cluster: split: blob is not a sharded dynamic index")
 	}
 	k := snap.NumShards()
 	if nodes > k {
-		return nil, nil, fmt.Errorf("cluster: split: %d nodes but only %d shards", nodes, k)
+		return nil, nil, 0, fmt.Errorf("cluster: split: %d nodes but only %d shards", nodes, k)
 	}
 	bounds := snap.Bounds() // k-1 boundaries; bounds[i] separates shard i and i+1
 	for node := 0; node < nodes; node++ {
@@ -67,31 +70,31 @@ func Split(blob []byte, nodes int) (parts [][]byte, cuts []float64, err error) {
 		for i := lo; i < hi; i++ {
 			b, err := snap.MarshalShard(i)
 			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: split shard %d: %w", i, err)
+				return nil, nil, 0, fmt.Errorf("cluster: split shard %d: %w", i, err)
 			}
 			blobs = append(blobs, b)
 		}
 		sub, err := polyfit.Assemble(bounds[lo:hi-1], blobs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: split: assemble node %d: %w", node, err)
+			return nil, nil, 0, fmt.Errorf("cluster: split: assemble node %d: %w", node, err)
 		}
 		part, err := sub.MarshalBinary()
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: split: marshal node %d: %w", node, err)
+			return nil, nil, 0, fmt.Errorf("cluster: split: marshal node %d: %w", node, err)
 		}
 		parts = append(parts, part)
 		if node < nodes-1 {
 			cuts = append(cuts, bounds[hi-1])
 		}
 	}
-	return parts, cuts, nil
+	return parts, cuts, ix.Stats().Aggregate, nil
 }
 
 // Deploy splits a sharded blob across nodes and uploads each part under
 // name via POST /v1/indexes/{name}/restore, returning the PlacedIndex the
 // router routes by.
-func Deploy(ctx context.Context, hc *http.Client, name, agg string, blob []byte, nodes []string) (*PlacedIndex, error) {
-	parts, cuts, err := Split(blob, len(nodes))
+func Deploy(ctx context.Context, hc *http.Client, name string, blob []byte, nodes []string) (*PlacedIndex, error) {
+	parts, cuts, agg, err := Split(blob, len(nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -154,42 +157,14 @@ type insertAnswer struct {
 	Errors   []string `json:"errors,omitempty"`
 }
 
-// mergeAnswers folds disjoint per-node partial answers into one.
-func mergeAnswers(agg string, parts []queryAnswer) queryAnswer {
-	var out queryAnswer
-	exact := true
-	for _, p := range parts {
-		if !p.Found {
-			continue
-		}
-		if !out.Found {
-			out = p
-			exact = p.Exact
-			continue
-		}
-		exact = exact && p.Exact
-		switch agg {
-		case "min":
-			if p.Value < out.Value {
-				out.Value = p.Value
-			}
-			if p.Bound > out.Bound {
-				out.Bound = p.Bound
-			}
-		case "max":
-			if p.Value > out.Value {
-				out.Value = p.Value
-			}
-			if p.Bound > out.Bound {
-				out.Bound = p.Bound
-			}
-		default: // count, sum: disjoint partitions add
-			out.Value += p.Value
-			out.Bound += p.Bound
-		}
+// merge folds disjoint per-node partial answers into one with core.Merge.
+func merge(agg polyfit.Agg, parts []queryAnswer) queryAnswer {
+	rs := make([]core.Result, len(parts))
+	for i, p := range parts {
+		rs[i] = core.Result{Value: p.Value, Exact: p.Exact, Found: p.Found, Bound: p.Bound}
 	}
-	out.Exact = out.Found && exact
-	return out
+	m := core.Merge(agg, rs)
+	return queryAnswer{Value: m.Value, Found: m.Found, Exact: m.Exact, Bound: m.Bound}
 }
 
 // servePlaced handles a data-plane request for a placed index.
@@ -263,7 +238,7 @@ func (rt *Router) placedQuery(w http.ResponseWriter, r *http.Request, p *PlacedI
 			return
 		}
 	}
-	writeJSON(w, mergeAnswers(p.Agg, parts))
+	writeJSON(w, merge(p.Agg, parts))
 }
 
 func (rt *Router) placedBatch(w http.ResponseWriter, r *http.Request, p *PlacedIndex, body []byte) {
@@ -296,7 +271,7 @@ func (rt *Router) placedBatch(w http.ResponseWriter, r *http.Request, p *PlacedI
 	}
 	out := batchAnswer{Results: make([]queryAnswer, len(merged))}
 	for j, parts := range merged {
-		out.Results[j] = mergeAnswers(p.Agg, parts)
+		out.Results[j] = merge(p.Agg, parts)
 	}
 	writeJSON(w, out)
 }

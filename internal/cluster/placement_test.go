@@ -1,8 +1,16 @@
 package cluster
 
 import (
+	"context"
+	"encoding/base64"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	polyfit "repro"
 )
@@ -35,7 +43,7 @@ func TestSplitPreservesAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nodes := range []int{1, 2, 3, 8} {
-		parts, cuts, err := Split(blob, nodes)
+		parts, cuts, _, err := Split(blob, nodes)
 		if err != nil {
 			t.Fatalf("split into %d: %v", nodes, err)
 		}
@@ -94,13 +102,13 @@ func TestSplitRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Split(blob, 0); err == nil {
+	if _, _, _, err := Split(blob, 0); err == nil {
 		t.Fatal("0 nodes must fail")
 	}
-	if _, _, err := Split(blob, 5); err == nil {
+	if _, _, _, err := Split(blob, 5); err == nil {
 		t.Fatal("more nodes than shards must fail")
 	}
-	if _, _, err := Split([]byte("junk"), 2); err == nil {
+	if _, _, _, err := Split([]byte("junk"), 2); err == nil {
 		t.Fatal("junk blob must fail")
 	}
 }
@@ -117,38 +125,87 @@ func TestPlacedNodeOf(t *testing.T) {
 	}
 }
 
-func TestMergeAnswers(t *testing.T) {
-	sum := mergeAnswers("sum", []queryAnswer{
-		{Value: 10, Found: true, Bound: 2},
-		{Found: false},
-		{Value: 5, Found: true, Bound: 1},
-	})
-	if sum.Value != 15 || sum.Bound != 3 || !sum.Found {
-		t.Fatalf("sum merge: %+v", sum)
+// TestDeployRestoresEveryPart deploys sharded blobs to fake nodes. Each
+// node checks that its part opens with polyfit.Open and reports the blob's
+// aggregate, and the placement Deploy returns carries that aggregate.
+func TestDeployRestoresEveryPart(t *testing.T) {
+	sum, keys, measures := buildSharded(t, 2000, 6)
+	mx, err := polyfit.New(polyfit.Spec{Agg: polyfit.Max, Keys: keys, Measures: measures},
+		polyfit.WithMaxError(50), polyfit.WithDynamic(), polyfit.WithShards(6))
+	if err != nil {
+		t.Fatal(err)
 	}
-	min := mergeAnswers("min", []queryAnswer{
-		{Value: 10, Found: true, Bound: 2},
-		{Value: 5, Found: true, Bound: 1},
-	})
-	if min.Value != 5 || min.Bound != 2 || !min.Found {
-		t.Fatalf("min merge: %+v", min)
+	for _, ix := range []polyfit.Index{sum, mx} {
+		want := ix.Stats().Aggregate
+		blob, err := ix.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		restored := map[string]int{} // node URL → records restored there
+		nodes := make([]string, 3)
+		for i := range nodes {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method != http.MethodPost || r.URL.Path != "/v1/indexes/placed/restore" {
+					http.Error(w, "unexpected "+r.Method+" "+r.URL.Path, http.StatusNotFound)
+					return
+				}
+				var req struct{ Blob string }
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				raw, err := base64.StdEncoding.DecodeString(req.Blob)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				part, err := polyfit.Open(raw)
+				if err != nil || part.Stats().Aggregate != want {
+					http.Error(w, "part does not open as the blob's aggregate", http.StatusBadRequest)
+					return
+				}
+				mu.Lock()
+				restored["http://"+r.Host] = part.Stats().Records
+				mu.Unlock()
+			}))
+			defer ts.Close()
+			nodes[i] = ts.URL
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		p, err := Deploy(ctx, nil, "placed", blob, nodes)
+		cancel()
+		if err != nil {
+			t.Fatalf("deploy %v: %v", want, err)
+		}
+		if p.Agg != want || p.Name != "placed" || len(p.Cuts) != len(nodes)-1 || strings.Join(p.Nodes, ",") != strings.Join(nodes, ",") {
+			t.Fatalf("deploy %v: placement %+v", want, p)
+		}
+		total := 0
+		for _, node := range nodes {
+			n, ok := restored[node]
+			if !ok {
+				t.Fatalf("deploy %v: node %s restored nothing", want, node)
+			}
+			total += n
+		}
+		if total != len(keys) {
+			t.Fatalf("deploy %v: parts hold %d records, want %d", want, total, len(keys))
+		}
 	}
-	max := mergeAnswers("max", []queryAnswer{
-		{Value: 10, Found: true, Bound: 2},
-		{Value: 50, Found: true, Bound: 7},
-	})
-	if max.Value != 50 || max.Bound != 7 {
-		t.Fatalf("max merge: %+v", max)
-	}
-	empty := mergeAnswers("sum", []queryAnswer{{Found: false}, {Found: false}})
-	if empty.Found || empty.Value != 0 {
-		t.Fatalf("empty merge: %+v", empty)
-	}
-	exact := mergeAnswers("sum", []queryAnswer{
-		{Value: 1, Found: true, Exact: true},
-		{Value: 2, Found: true, Exact: false},
-	})
-	if exact.Exact {
-		t.Fatalf("mixed exactness must not report exact: %+v", exact)
+}
+
+// TestNewRouterRejectsBadPlacement: a placement whose aggregate is not one
+// of the four, or whose cuts do not separate its nodes, cannot be merged.
+func TestNewRouterRejectsBadPlacement(t *testing.T) {
+	for _, p := range []*PlacedIndex{
+		{Name: "bad-agg", Agg: polyfit.Agg(9), Cuts: []float64{10}, Nodes: []string{"a", "b"}},
+		{Name: "no-nodes", Agg: polyfit.Sum},
+		{Name: "bad-cuts", Agg: polyfit.Max, Cuts: []float64{1, 2}, Nodes: []string{"a", "b"}},
+	} {
+		if rt, err := NewRouter(RouterConfig{Placements: []*PlacedIndex{p}, ProbeInterval: time.Hour}); err == nil {
+			rt.Close()
+			t.Errorf("placement %s accepted", p.Name)
+		}
 	}
 }

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	polyfit "repro"
 )
 
 // RouterConfig configures a Router.
@@ -129,6 +131,12 @@ func (rp *replica) roleString() string {
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Replicas) == 0 && len(cfg.Placements) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one replica or placement")
+	}
+	for _, p := range cfg.Placements {
+		if p.Agg < polyfit.Count || p.Agg > polyfit.Max || len(p.Nodes) == 0 || len(p.Cuts) != len(p.Nodes)-1 {
+			return nil, fmt.Errorf("cluster: placement %q: aggregate %v over %d nodes with %d cuts",
+				p.Name, p.Agg, len(p.Nodes), len(p.Cuts))
+		}
 	}
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 2 * time.Millisecond

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	polyfit "repro"
 )
 
 // fakeBackend is a scriptable replica: it serves the status probe and a
@@ -274,7 +276,7 @@ func TestRouterPlacedFanout(t *testing.T) {
 	n1 := newFakeBackend("", "n1")
 	defer n1.ts.Close()
 	p := &PlacedIndex{
-		Name: "placed", Agg: "sum",
+		Name: "placed", Agg: polyfit.Sum,
 		Cuts:  []float64{10},
 		Nodes: []string{n0.ts.URL, n1.ts.URL},
 	}

@@ -262,33 +262,6 @@ func (d *Dynamic1D) RangeSum(lq, uq float64) (float64, error) {
 	return v + st.bufferSum(lq, uq), nil
 }
 
-// RangeSumRel answers a COUNT/SUM query with the relative guarantee εrel
-// (Problem 2). The Lemma 3 gate is applied to the combined estimate — the
-// buffer part is exact, so the total absolute error is still ≤ 2δ — and on
-// failure the base's exact fallback answers, again combined with the exact
-// buffer aggregate.
-func (d *Dynamic1D) RangeSumRel(lq, uq, epsRel float64) (val float64, usedExact bool, err error) {
-	st := d.state.Load()
-	base := st.base
-	if base.agg != Sum && base.agg != Count {
-		return 0, false, ErrWrongAgg
-	}
-	if epsRel <= 0 {
-		return 0, false, fmt.Errorf("%w: non-positive relative error %g", ErrInvalidRange, epsRel)
-	}
-	if uq < lq {
-		return 0, false, nil
-	}
-	a := base.CF(uq) - base.CF(lq) + st.bufferSum(lq, uq)
-	if a >= 2*base.delta*(1+1/epsRel) {
-		return a, false, nil
-	}
-	if base.exactCF == nil {
-		return 0, false, ErrNoFallback
-	}
-	return base.exactCF.RangeSum(lq, uq) + st.bufferSum(lq, uq), true, nil
-}
-
 // RangeExtremum answers an approximate MIN/MAX over [lq, uq].
 func (d *Dynamic1D) RangeExtremum(lq, uq float64) (float64, bool, error) {
 	st := d.state.Load()
@@ -297,55 +270,32 @@ func (d *Dynamic1D) RangeExtremum(lq, uq float64) (float64, bool, error) {
 		return 0, false, err
 	}
 	bv, bok := st.bufferExtremum(d.agg, lq, uq)
-	return combineExtrema(d.agg, v, ok, bv, bok)
+	v, ok = combineExtrema(d.agg, v, ok, bv, bok)
+	return v, ok, nil
 }
 
-func combineExtrema(agg Agg, v float64, ok bool, bv float64, bok bool) (float64, bool, error) {
-	switch {
-	case !ok && !bok:
-		return 0, false, nil
-	case !ok:
-		return bv, true, nil
-	case !bok:
-		return v, true, nil
-	}
-	if agg == Max {
-		return math.Max(v, bv), true, nil
-	}
-	return math.Min(v, bv), true, nil
-}
-
-// RangeExtremumRel answers a MIN/MAX query with the relative guarantee
-// εrel. The Lemma 5 gate is applied to the combined estimate (base within
-// δ, buffer exact, so the combination is within δ); on failure the base's
-// exact aggregate tree answers, combined with the exact buffer extremum.
-func (d *Dynamic1D) RangeExtremumRel(lq, uq, epsRel float64) (val float64, usedExact, ok bool, err error) {
+// exact answers r from the base's exact fallback merged with the exact
+// buffer aggregate (the buffer is one more disjoint partition), both read
+// from one snapshot.
+func (d *Dynamic1D) exact(r Range) (Result, error) {
 	st := d.state.Load()
-	base := st.base
-	if base.agg != Max && base.agg != Min {
-		return 0, false, false, ErrWrongAgg
+	base, err := st.base.exact(r)
+	if err != nil {
+		return Result{}, err
 	}
-	if epsRel <= 0 {
-		return 0, false, false, fmt.Errorf("%w: non-positive relative error %g", ErrInvalidRange, epsRel)
+	buf := Result{Exact: true, Found: true, Bound: 0}
+	if d.agg == Count || d.agg == Sum {
+		buf.Value = st.bufferSum(r.Lo, r.Hi)
+	} else {
+		buf.Value, buf.Found = st.bufferExtremum(d.agg, r.Lo, r.Hi)
 	}
-	bv, bok := st.bufferExtremum(d.agg, lq, uq)
-	av, aok := base.maxInternal(lq, uq)
-	if base.neg {
-		av = -av
-	}
-	v, got, _ := combineExtrema(d.agg, av, aok, bv, bok)
-	if got && v >= base.delta*(1+1/epsRel) {
-		return v, false, true, nil
-	}
-	if base.exactExt == nil {
-		return 0, false, false, ErrNoFallback
-	}
-	ev, eok := base.exactExt.Query(lq, uq)
-	if base.neg {
-		ev = -ev
-	}
-	v, got, _ = combineExtrema(d.agg, ev, eok, bv, bok)
-	return v, true, got, nil
+	return base.merge(d.agg, buf), nil
+}
+
+// Engine returns the query engine over d: the one-shard case of a sharded
+// dynamic index.
+func (d *Dynamic1D) Engine() *Engine {
+	return &Engine{agg: d.agg, delta: d.state.Load().base.delta, qs: []shardQuerier{d}}
 }
 
 // QueryBatch answers many ranges in one call via the base index's
@@ -368,7 +318,7 @@ func (d *Dynamic1D) QueryBatch(ranges []Range) ([]BatchResult, error) {
 				continue
 			}
 			bv, bok := st.bufferExtremum(d.agg, r.Lo, r.Hi)
-			v, ok, _ := combineExtrema(d.agg, out[i].Value, out[i].Found, bv, bok)
+			v, ok := combineExtrema(d.agg, out[i].Value, out[i].Found, bv, bok)
 			out[i] = BatchResult{Value: v, Found: ok}
 		}
 	}

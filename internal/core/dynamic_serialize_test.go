@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -105,21 +106,12 @@ func TestDynamicRoundTripAllAggregates(t *testing.T) {
 				queriesAgree(t, d, got, ranges)
 
 				// Relative-error path: fallback setting must survive the trip.
+				we, ge := d.Engine(), got.Engine()
 				for _, r := range ranges[:16] {
-					if agg == Count || agg == Sum {
-						wv, wex, werr := d.RangeSumRel(r.Lo, r.Hi, 0.05)
-						gv, gex, gerr := got.RangeSumRel(r.Lo, r.Hi, 0.05)
-						if wv != gv || wex != gex || !errors.Is(gerr, werr) && (werr != nil) != (gerr != nil) {
-							t.Fatalf("RangeSumRel(%g,%g): want (%g,%v,%v), got (%g,%v,%v)",
-								r.Lo, r.Hi, wv, wex, werr, gv, gex, gerr)
-						}
-					} else {
-						wv, wex, wok, werr := d.RangeExtremumRel(r.Lo, r.Hi, 0.05)
-						gv, gex, gok, gerr := got.RangeExtremumRel(r.Lo, r.Hi, 0.05)
-						if wv != gv || wex != gex || wok != gok || (werr != nil) != (gerr != nil) {
-							t.Fatalf("RangeExtremumRel(%g,%g): want (%g,%v,%v,%v), got (%g,%v,%v,%v)",
-								r.Lo, r.Hi, wv, wex, wok, werr, gv, gex, gok, gerr)
-						}
+					w, werr := we.QueryRel(context.Background(), r, 0.05)
+					g, gerr := ge.QueryRel(context.Background(), r, 0.05)
+					if w != g || (werr != nil) != (gerr != nil) || werr != nil && !errors.Is(gerr, werr) {
+						t.Fatalf("QueryRel(%g,%g): want (%+v,%v), got (%+v,%v)", r.Lo, r.Hi, w, werr, g, gerr)
 					}
 				}
 			})

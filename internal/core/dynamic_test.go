@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -166,10 +167,11 @@ func TestDynamicRelativeQueries(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		got, _, err := d.RangeSumRel(l, u, epsRel)
+		res, err := d.Engine().QueryRel(context.Background(), Range{Lo: l, Hi: u}, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Value
 		want := 0.0
 		for i, k := range all {
 			if k > l && k <= u {
@@ -185,7 +187,7 @@ func TestDynamicRelativeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dn.RangeSumRel(keys[0], keys[0], epsRel); err != ErrNoFallback {
+	if _, err := dn.Engine().QueryRel(context.Background(), Range{Lo: keys[0], Hi: keys[0]}, epsRel); err != ErrNoFallback {
 		t.Errorf("want ErrNoFallback, got %v", err)
 	}
 }
@@ -216,10 +218,11 @@ func TestDynamicExtremumRel(t *testing.T) {
 		if l > u {
 			l, u = u, l
 		}
-		got, _, ok, err := d.RangeExtremumRel(l, u, epsRel)
+		res, err := d.Engine().QueryRel(context.Background(), Range{Lo: l, Hi: u}, epsRel)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, ok := res.Value, res.Found
 		want, found := math.Inf(-1), false
 		for i, k := range all {
 			if k >= l && k <= u && vals[i] > want {

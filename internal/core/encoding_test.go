@@ -148,11 +148,11 @@ func TestOldContainerVersionsLoad(t *testing.T) {
 		if got, _ := oldDyn.RangeSum(l, u); got != want {
 			t.Fatalf("POLD v2-loaded answer differs at (%g, %g]: %g vs %g", l, u, got, want)
 		}
-		ws, _, err := sharded.RangeSum(l, u)
+		ws, _, err := sharded.sum(l, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gs, _, _ := oldSharded.RangeSum(l, u); gs != ws {
+		if gs, _, _ := oldSharded.sum(l, u); gs != ws {
 			t.Fatalf("POLS v1-loaded answer differs at (%g, %g]: %g vs %g", l, u, gs, ws)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -142,15 +143,13 @@ func FuzzUnmarshalSharded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded Sharded1D
 		if err := loaded.UnmarshalBinary(data); err == nil {
-			loaded.RangeSum(-1e9, 1e9)                                       //nolint:errcheck
-			loaded.RangeExtremum(-1e9, 1e9)                                  //nolint:errcheck
-			loaded.QueryBatch([]Range{{Lo: -1e9, Hi: 1e9}, {Lo: 1, Hi: -1}}) //nolint:errcheck
+			loaded.Query(context.Background(), Range{Lo: -1e9, Hi: 1e9})                           //nolint:errcheck
+			loaded.QueryBatch(context.Background(), []Range{{Lo: -1e9, Hi: 1e9}, {Lo: 1, Hi: -1}}) //nolint:errcheck
 			_ = loaded.SizeBytes()
 		}
 		if restored, err := RestoreShardedDynamic(data); err == nil {
-			restored.RangeSum(-1e9, 1e9)      //nolint:errcheck
-			restored.RangeExtremum(-1e9, 1e9) //nolint:errcheck
-			restored.Insert(math.Pi, 1)       //nolint:errcheck
+			restored.Query(context.Background(), Range{Lo: -1e9, Hi: 1e9}) //nolint:errcheck
+			restored.Insert(math.Pi, 1)                                    //nolint:errcheck
 			_ = restored.Len()
 		}
 	})

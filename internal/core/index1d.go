@@ -787,26 +787,17 @@ func (ix *Index1D) RangeSum(lq, uq float64) (float64, error) {
 }
 
 // RangeSumRel answers a range SUM/COUNT query with the relative guarantee
-// εrel (Problem 2). When the Lemma 3 test A ≥ 2δ(1 + 1/εrel) fails the
-// exact method answers instead (usedExact reports which path ran).
+// εrel (Problem 2) through the engine's relative-error rule applied to this
+// index alone, without building an engine per query: the Lemma 3 gate on
+// the estimate, and the exact method when it fails (usedExact reports which
+// path ran).
 func (ix *Index1D) RangeSumRel(lq, uq, epsRel float64) (val float64, usedExact bool, err error) {
-	if ix.agg != Sum && ix.agg != Count {
-		return 0, false, ErrWrongAgg
-	}
-	if epsRel <= 0 {
-		return 0, false, fmt.Errorf("%w: non-positive relative error %g", ErrInvalidRange, epsRel)
-	}
-	if uq < lq {
-		return 0, false, nil
-	}
-	a := ix.CF(uq) - ix.CF(lq)
-	if a >= 2*ix.delta*(1+1/epsRel) {
-		return a, false, nil
-	}
-	if ix.exactCF == nil {
-		return 0, false, ErrNoFallback
-	}
-	return ix.exactCF.RangeSum(lq, uq), true, nil
+	r := Range{Lo: lq, Hi: uq}
+	res, err := answerRel(epsRel, func() (Result, error) {
+		v, err := ix.RangeSum(lq, uq)
+		return certify(ix.agg, ix.delta, r, v, true), err
+	}, func() (Result, error) { return ix.exact(r) })
+	return res.Value, res.Exact, err
 }
 
 // RangeExtremum answers an approximate range MAX (or MIN) query over the
@@ -882,36 +873,43 @@ func (ix *Index1D) segPolyMax(i int, lq, uq float64) float64 {
 }
 
 // RangeExtremumRel answers a range MAX/MIN query with the relative
-// guarantee εrel (Lemma 5: pass requires A ≥ δ(1 + 1/εrel), applied to the
-// un-negated estimate so MIN over non-negative measures is gated correctly);
-// on failure the exact aggregate tree answers.
+// guarantee εrel, as RangeSumRel does (Lemma 5 gates the estimate; on
+// failure the exact aggregate tree answers).
 func (ix *Index1D) RangeExtremumRel(lq, uq, epsRel float64) (val float64, usedExact, ok bool, err error) {
-	if ix.agg != Max && ix.agg != Min {
-		return 0, false, false, ErrWrongAgg
+	r := Range{Lo: lq, Hi: uq}
+	res, err := answerRel(epsRel, func() (Result, error) {
+		v, found, err := ix.RangeExtremum(lq, uq)
+		return certify(ix.agg, ix.delta, r, v, found), err
+	}, func() (Result, error) { return ix.exact(r) })
+	return res.Value, res.Exact, res.Found, err
+}
+
+// exact answers r from the exact fallback structures: the prefix-sum array
+// for COUNT/SUM, the aggregate tree for MIN/MAX.
+func (ix *Index1D) exact(r Range) (Result, error) {
+	if ix.agg == Count || ix.agg == Sum {
+		if ix.exactCF == nil {
+			return Result{}, ErrNoFallback
+		}
+		return Result{Value: ix.exactCF.RangeSum(r.Lo, r.Hi), Exact: true, Found: true, Bound: 0}, nil
 	}
-	if epsRel <= 0 {
-		return 0, false, false, fmt.Errorf("%w: non-positive relative error %g", ErrInvalidRange, epsRel)
+	if ix.exactExt == nil {
+		return Result{}, ErrNoFallback
 	}
-	v, got := ix.maxInternal(lq, uq)
+	v, ok := ix.exactExt.Query(r.Lo, r.Hi)
+	if !ok {
+		return Result{Exact: true, Bound: 0}, nil
+	}
 	if ix.neg {
 		v = -v
 	}
-	// |A − R| ≤ δ gives R ≥ A − δ for both MAX and MIN, so the same
-	// Lemma 5 condition applies to the final estimate.
-	if got && v >= ix.delta*(1+1/epsRel) {
-		return v, false, true, nil
-	}
-	if ix.exactExt == nil {
-		return 0, false, false, ErrNoFallback
-	}
-	ev, eok := ix.exactExt.Query(lq, uq)
-	if !eok {
-		return 0, true, false, nil
-	}
-	if ix.neg {
-		ev = -ev
-	}
-	return ev, true, true, nil
+	return Result{Value: v, Exact: true, Found: true, Bound: 0}, nil
+}
+
+// Engine returns the query engine over ix: the one-shard case of a sharded
+// index.
+func (ix *Index1D) Engine() *Engine {
+	return &Engine{agg: ix.agg, delta: ix.delta, qs: []shardQuerier{ix}}
 }
 
 // --- introspection ---------------------------------------------------------

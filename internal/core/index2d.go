@@ -134,21 +134,39 @@ func (ix *Index2D) RangeCount(xlo, xhi, ylo, yhi float64) float64 {
 	return a
 }
 
-// RangeCountRel answers with the relative guarantee εrel: the Lemma 7 test
-// A ≥ 4δ(1 + 1/εrel) gates the approximate answer; failures fall back to the
-// exact aR-tree.
+// Query answers the approximate COUNT/SUM over the half-open rectangle
+// (xlo, xhi] × (ylo, yhi] with its Lemma 6 bound: 4δ, since the
+// four-corner identity evaluates the fitted surface four times, each within
+// δ. An inverted rectangle is empty, so its answer is exactly 0. NaN
+// coordinates fail with ErrInvalidRange.
+func (ix *Index2D) Query(xlo, xhi, ylo, yhi float64) (Result, error) {
+	if math.IsNaN(xlo) || math.IsNaN(xhi) || math.IsNaN(ylo) || math.IsNaN(yhi) {
+		return Result{}, fmt.Errorf("%w: NaN rectangle coordinate (%g, %g, %g, %g)", ErrInvalidRange, xlo, xhi, ylo, yhi)
+	}
+	if xhi < xlo || yhi < ylo {
+		return Result{Found: true, Bound: 0}, nil
+	}
+	return Result{Value: ix.RangeCount(xlo, xhi, ylo, yhi), Found: true, Bound: 4 * ix.delta}, nil
+}
+
+// QueryRel answers within the relative error epsRel: Query's answer when
+// the εrel gate certifies it (Lemma 7, Result.certifies), else the exact
+// aR-tree (Result.Exact, Bound 0).
+func (ix *Index2D) QueryRel(xlo, xhi, ylo, yhi, epsRel float64) (Result, error) {
+	return answerRel(epsRel,
+		func() (Result, error) { return ix.Query(xlo, xhi, ylo, yhi) },
+		func() (Result, error) {
+			if ix.exact == nil {
+				return Result{}, ErrNoFallback
+			}
+			return Result{Value: ix.exactRange(xlo, xhi, ylo, yhi), Exact: true, Found: true, Bound: 0}, nil
+		})
+}
+
+// RangeCountRel is QueryRel in the tuple form the experiments time.
 func (ix *Index2D) RangeCountRel(xlo, xhi, ylo, yhi, epsRel float64) (val float64, usedExact bool, err error) {
-	if epsRel <= 0 {
-		return 0, false, fmt.Errorf("%w: non-positive relative error %g", ErrInvalidRange, epsRel)
-	}
-	a := ix.RangeCount(xlo, xhi, ylo, yhi)
-	if a >= 4*ix.delta*(1+1/epsRel) {
-		return a, false, nil
-	}
-	if ix.exact == nil {
-		return 0, false, ErrNoFallback
-	}
-	return ix.exactRange(xlo, xhi, ylo, yhi), true, nil
+	res, err := ix.QueryRel(xlo, xhi, ylo, yhi, epsRel)
+	return res.Value, res.Exact, err
 }
 
 // exactRange runs the exact weighted aR-tree aggregate with half-open

@@ -162,7 +162,7 @@ func (s *Sharded1D) UnmarshalBinary(data []byte) error {
 		}
 		shards[i] = sh
 	}
-	s.shardSet = shardSet{agg: agg, delta: shards[0].delta, bounds: bounds, qs: queriers(shards)}
+	s.Engine = Engine{agg: agg, delta: shards[0].delta, bounds: bounds, qs: queriers(shards)}
 	s.shards = shards
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,7 +38,7 @@ func TestShardedMatchesExact(t *testing.T) {
 				lq, uq := keys[i], keys[j]
 				switch agg {
 				case Count, Sum:
-					v, bound, err := s.RangeSum(lq, uq)
+					v, bound, err := s.sum(lq, uq)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -50,7 +52,7 @@ func TestShardedMatchesExact(t *testing.T) {
 						t.Fatalf("%v k=%d (%g,%g]: est %g exact %g bound %g", agg, k, lq, uq, v, exact, bound)
 					}
 				case Max, Min:
-					v, bound, ok, err := s.RangeExtremum(lq, uq)
+					v, bound, ok, err := s.ext(lq, uq)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -78,15 +80,15 @@ func TestShardedBoundComposition(t *testing.T) {
 	s := buildShardedFor(t, Count, keys, measures, 4, Options{Delta: delta})
 	b := s.Bounds()
 	// A range inside shard 1 touches one shard.
-	if _, bound, _ := s.RangeSum(b[0], math.Nextafter(b[1], b[0])); bound != 2*delta {
+	if _, bound, _ := s.sum(b[0], math.Nextafter(b[1], b[0])); bound != 2*delta {
 		t.Fatalf("interior bound %g, want %g", bound, 2*delta)
 	}
 	// A full-span range touches all four.
-	if _, bound, _ := s.RangeSum(keys[0]-1, keys[len(keys)-1]+1); bound != 8*delta {
+	if _, bound, _ := s.sum(keys[0]-1, keys[len(keys)-1]+1); bound != 8*delta {
 		t.Fatalf("full-span bound %g, want %g", bound, 8*delta)
 	}
 	m := buildShardedFor(t, Max, keys, measures, 4, Options{Delta: delta})
-	if _, bound, _, _ := m.RangeExtremum(keys[0], keys[len(keys)-1]); bound != delta {
+	if _, bound, _, _ := m.ext(keys[0], keys[len(keys)-1]); bound != delta {
 		t.Fatalf("extremum bound %g, want %g", bound, delta)
 	}
 }
@@ -108,7 +110,7 @@ func TestShardedBatchMatchesSingle(t *testing.T) {
 	}
 	for _, agg := range []Agg{Count, Sum, Max, Min} {
 		s := buildShardedFor(t, agg, keys, measures, 5, Options{Delta: 15})
-		got, err := s.QueryBatch(ranges)
+		got, err := s.QueryBatch(context.Background(), ranges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,13 +118,13 @@ func TestShardedBatchMatchesSingle(t *testing.T) {
 			var want BatchResult
 			switch agg {
 			case Count, Sum:
-				v, _, err := s.RangeSum(r.Lo, r.Hi)
+				v, _, err := s.sum(r.Lo, r.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want = BatchResult{Value: v, Found: true}
 			default:
-				v, _, ok, err := s.RangeExtremum(r.Lo, r.Hi)
+				v, _, ok, err := s.ext(r.Lo, r.Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,10 +150,11 @@ func TestShardedRel(t *testing.T) {
 			i, j = j, i
 		}
 		lq, uq := keys[i], keys[j]
-		v, bound, usedExact, err := s.RangeSumRel(lq, uq, 0.05)
+		res, err := s.QueryRel(context.Background(), Range{Lo: lq, Hi: uq}, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, bound, usedExact := res.Value, res.Bound, res.Exact
 		if usedExact != (bound == 0) {
 			t.Fatalf("(%g,%g]: exact=%v but bound=%g", lq, uq, usedExact, bound)
 		}
@@ -166,7 +169,7 @@ func TestShardedRel(t *testing.T) {
 	}
 	// NoFallback indexes must refuse, not mis-certify.
 	nf := buildShardedFor(t, Sum, keys, measures, 4, Options{Delta: 50, NoFallback: true})
-	if _, _, _, err := nf.RangeSumRel(keys[0], keys[1], 0.05); err != ErrNoFallback {
+	if _, err := nf.QueryRel(context.Background(), Range{Lo: keys[0], Hi: keys[1]}, 0.05); err != ErrNoFallback {
 		t.Fatalf("NoFallback rel query: err %v, want ErrNoFallback", err)
 	}
 	mx := buildShardedFor(t, Max, keys, measures, 4, Options{Delta: 50})
@@ -175,10 +178,11 @@ func TestShardedRel(t *testing.T) {
 		if i > j {
 			i, j = j, i
 		}
-		v, _, _, ok, err := mx.RangeExtremumRel(keys[i], keys[j], 0.05)
+		res, err := mx.QueryRel(context.Background(), Range{Lo: keys[i], Hi: keys[j]}, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, ok := res.Value, res.Found
 		exact, eok := exactMax(keys, measures, keys[i], keys[j])
 		if ok != eok {
 			t.Fatalf("found mismatch")
@@ -234,7 +238,7 @@ func TestShardedDynamicInsertAndQuery(t *testing.T) {
 			lq, uq := bk[i], bk[j]
 			switch agg {
 			case Count, Sum:
-				v, bound, err := sd.RangeSum(lq, uq)
+				v, bound, err := sd.sum(lq, uq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,7 +255,7 @@ func TestShardedDynamicInsertAndQuery(t *testing.T) {
 					t.Fatalf("%v (%g,%g]: est %g exact %g bound %g", agg, lq, uq, v, exact, bound)
 				}
 			default:
-				v, bound, ok, err := sd.RangeExtremum(lq, uq)
+				v, bound, ok, err := sd.ext(lq, uq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,37 +287,34 @@ func TestShardedDynamicInsertAndQuery(t *testing.T) {
 	}
 }
 
-// TestShardedNonFiniteEndpoints: NaN/Inf query endpoints must never panic
-// — the sharded layer inherits the unsharded "garbage in, garbage out, no
-// panic" contract (NaN routing can invert the shard window; shardSpan
-// normalises it).
+// TestShardedNonFiniteEndpoints: non-finite query endpoints must never
+// panic. NaN endpoints would route arbitrarily through the shard search,
+// so the engine rejects them with ErrInvalidRange; ±Inf endpoints are
+// ordinary unbounded ranges.
 func TestShardedNonFiniteEndpoints(t *testing.T) {
 	keys, measures := genDataset(500, 73)
 	nan, inf := math.NaN(), math.Inf(1)
 	edges := [][2]float64{
 		{nan, 5}, {5, nan}, {nan, nan}, {-inf, nan}, {nan, inf}, {-inf, inf},
 	}
+	ctx := context.Background()
 	for _, agg := range []Agg{Count, Max} {
 		s := buildShardedFor(t, agg, keys, measures, 4, Options{Delta: 10, NoFallback: true})
 		sd, err := NewShardedDynamic(agg, keys, measures, 4, Options{Delta: 10, NoFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range edges {
-			switch agg {
-			case Count:
-				s.RangeSum(e[0], e[1])  //nolint:errcheck
-				sd.RangeSum(e[0], e[1]) //nolint:errcheck
-			default:
-				s.RangeExtremum(e[0], e[1])  //nolint:errcheck
-				sd.RangeExtremum(e[0], e[1]) //nolint:errcheck
-			}
-			ranges := []Range{{Lo: e[0], Hi: e[1]}, {Lo: keys[1], Hi: keys[10]}}
-			if _, err := s.QueryBatch(ranges); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sd.QueryBatch(ranges); err != nil {
-				t.Fatal(err)
+		for _, e := range [...]*Engine{&s.Engine, &sd.Engine} {
+			for _, edge := range edges {
+				hasNaN := math.IsNaN(edge[0]) || math.IsNaN(edge[1])
+				r := Range{Lo: edge[0], Hi: edge[1]}
+				if _, err := e.Query(ctx, r); hasNaN != errors.Is(err, ErrInvalidRange) {
+					t.Fatalf("%v Query(%v): err %v", agg, r, err)
+				}
+				_, err := e.QueryBatch(ctx, []Range{r, {Lo: keys[1], Hi: keys[10]}})
+				if hasNaN != errors.Is(err, ErrInvalidRange) {
+					t.Fatalf("%v QueryBatch(%v): err %v", agg, r, err)
+				}
 			}
 		}
 	}
@@ -342,15 +343,15 @@ func TestShardedRoundTrip(t *testing.T) {
 		if i > j {
 			i, j = j, i
 		}
-		a, _, _ := s.RangeSum(keys[i], keys[j])
-		b, _, _ := loaded.RangeSum(keys[i], keys[j])
+		a, _, _ := s.sum(keys[i], keys[j])
+		b, _, _ := loaded.sum(keys[i], keys[j])
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("round-trip drift: %g vs %g", a, b)
 		}
 	}
 	// Loaded static containers drop fallbacks by design: a range too small
 	// to pass the certification gate must refuse, not answer uncertified.
-	if _, _, _, err := loaded.RangeSumRel(keys[10], keys[12], 0.001); err != ErrNoFallback {
+	if _, err := loaded.QueryRel(context.Background(), Range{Lo: keys[10], Hi: keys[12]}, 0.001); err != ErrNoFallback {
 		t.Fatalf("loaded rel query: %v, want ErrNoFallback", err)
 	}
 
@@ -382,8 +383,8 @@ func TestShardedRoundTrip(t *testing.T) {
 		if i > j {
 			i, j = j, i
 		}
-		a, _, aok, _ := sd.RangeExtremum(keys[i], keys[j])
-		b, _, bok, _ := restored.RangeExtremum(keys[i], keys[j])
+		a, _, aok, _ := sd.ext(keys[i], keys[j])
+		b, _, bok, _ := restored.ext(keys[i], keys[j])
 		if aok != bok || math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("dynamic round-trip drift at [%g,%g]", keys[i], keys[j])
 		}
@@ -453,7 +454,7 @@ func BenchmarkShardedQuerySpan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.RangeSum(lo, hi); err != nil {
+		if _, _, err := s.sum(lo, hi); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,8 +478,20 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBatch(ranges); err != nil {
+		if _, err := s.QueryBatch(context.Background(), ranges); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sum and ext answer through the engine in the tuple shapes these tests
+// compare.
+func (s *Engine) sum(lq, uq float64) (val, bound float64, err error) {
+	r, err := s.Query(context.Background(), Range{Lo: lq, Hi: uq})
+	return r.Value, r.Bound, err
+}
+
+func (s *Engine) ext(lq, uq float64) (val, bound float64, ok bool, err error) {
+	r, err := s.Query(context.Background(), Range{Lo: lq, Hi: uq})
+	return r.Value, r.Bound, r.Found, err
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -66,6 +67,22 @@ func buildStatic(agg core.Agg, keys, measures []float64, opt core.Options) (*cor
 	}
 }
 
+// engineSum and engineExt query a sharded index's engine in the subject's
+// (estimate, bound) shape.
+func engineSum(e *core.Engine) func(l, u float64) (float64, float64, error) {
+	return func(l, u float64) (float64, float64, error) {
+		r, err := e.Query(context.Background(), core.Range{Lo: l, Hi: u})
+		return r.Value, r.Bound, err
+	}
+}
+
+func engineExt(e *core.Engine) func(l, u float64) (float64, float64, bool, error) {
+	return func(l, u float64) (float64, float64, bool, error) {
+		r, err := e.Query(context.Background(), core.Range{Lo: l, Hi: u})
+		return r.Value, r.Bound, r.Found, err
+	}
+}
+
 // buildSubjects constructs the static, dynamic, sharded, and
 // sharded-dynamic variants of one aggregate over the same dataset. Dynamic
 // variants are built over ~80% of the records and the rest is inserted.
@@ -127,8 +144,8 @@ func buildSubjects(t *testing.T, agg core.Agg, keys, measures []float64) []subje
 	}
 	subjects = append(subjects, subject{
 		name: "sharded4", endpoints: keys,
-		sum: sharded.RangeSum,
-		ext: sharded.RangeExtremum,
+		sum: engineSum(&sharded.Engine),
+		ext: engineExt(&sharded.Engine),
 	})
 
 	sdyn, err := core.NewShardedDynamic(agg, baseK, baseM, 4, opt)
@@ -142,8 +159,8 @@ func buildSubjects(t *testing.T, agg core.Agg, keys, measures []float64) []subje
 	}
 	subjects = append(subjects, subject{
 		name: "sharded4-dynamic", endpoints: baseK,
-		sum: sdyn.RangeSum,
-		ext: sdyn.RangeExtremum,
+		sum: engineSum(&sdyn.Engine),
+		ext: engineExt(&sdyn.Engine),
 	})
 	return subjects
 }
@@ -367,7 +384,7 @@ func TestDifferentialAfterRebuild(t *testing.T) {
 			lq, uq := keys[i], keys[j]
 			switch agg {
 			case core.Count, core.Sum:
-				est, bound, err := sdyn.RangeSum(lq, uq)
+				est, bound, err := engineSum(&sdyn.Engine)(lq, uq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -379,7 +396,7 @@ func TestDifferentialAfterRebuild(t *testing.T) {
 					t.Fatalf("%v (%g,%g]: |%g − %g| > %g", agg, lq, uq, est, exact, bound)
 				}
 			default:
-				est, bound, ok, err := sdyn.RangeExtremum(lq, uq)
+				est, bound, ok, err := engineExt(&sdyn.Engine)(lq, uq)
 				if err != nil {
 					t.Fatal(err)
 				}

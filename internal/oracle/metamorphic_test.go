@@ -43,12 +43,12 @@ func TestMetamorphicAdditivity(t *testing.T) {
 		if d := math.Abs(whole - (left + right)); d > 2*delta+1e-9*(1+math.Abs(whole)) {
 			t.Fatalf("static additivity: |%g − (%g + %g)| = %g > 2δ", whole, left, right, d)
 		}
-		sw, _, err := sharded.RangeSum(l, u)
+		sw, _, err := engineSum(&sharded.Engine)(l, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sl, _, _ := sharded.RangeSum(l, m)
-		sr, _, _ := sharded.RangeSum(m, u)
+		sl, _, _ := engineSum(&sharded.Engine)(l, m)
+		sr, _, _ := engineSum(&sharded.Engine)(m, u)
 		if d := math.Abs(sw - (sl + sr)); d > 2*delta+1e-9*(1+math.Abs(sw)) {
 			t.Fatalf("sharded additivity: |%g − (%g + %g)| = %g > 2δ", sw, sl, sr, d)
 		}
@@ -86,7 +86,7 @@ func TestMetamorphicCountMonotone(t *testing.T) {
 				t.Fatalf("static COUNT not 2δ-monotone at (%g,%g]: %g after %g", l, u, v, prevS)
 			}
 			prevS = math.Max(prevS, v)
-			sv, _, err := sharded.RangeSum(l, u)
+			sv, _, err := engineSum(&sharded.Engine)(l, u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestMetamorphicShardTransparency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := sharded.RangeSum(lq, uq)
+					got, _, err := engineSum(&sharded.Engine)(lq, uq)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -160,7 +160,7 @@ func TestMetamorphicShardTransparency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, gok, err := sharded.RangeExtremum(lq, uq)
+					got, _, gok, err := engineExt(&sharded.Engine)(lq, uq)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -122,7 +123,7 @@ func TestShardedDynamicStress(t *testing.T) {
 				default: // interior to the last (cold) shard
 					lq, uq = bounds[len(bounds)-1], baseK[len(baseK)-1]
 				}
-				est, bound, err := sd.RangeSum(lq, uq)
+				est, bound, err := engineSum(&sd.Engine)(lq, uq)
 				if err != nil {
 					t.Errorf("query (%g,%g]: %v", lq, uq, err)
 					return
@@ -135,7 +136,7 @@ func TestShardedDynamicStress(t *testing.T) {
 				}
 				// Batches must behave identically under the same races.
 				if q%25 == 0 {
-					res, err := sd.QueryBatch([]core.Range{{Lo: lq, Hi: uq}, {Lo: uq, Hi: lq}})
+					res, err := sd.QueryBatch(context.Background(), []core.Range{{Lo: lq, Hi: uq}, {Lo: uq, Hi: lq}})
 					if err != nil || len(res) != 2 {
 						t.Errorf("batch: %v", err)
 						return
@@ -165,7 +166,7 @@ func TestShardedDynamicStress(t *testing.T) {
 		t.Fatal("no query completed during the rebuild window — queries blocked behind a shard rebuild")
 	}
 	// Quiesced: every insert applied exactly once, full span exact ± bound.
-	est, bound, err := sd.RangeSum(keys[0]-1, keys[len(keys)-1]+1)
+	est, bound, err := engineSum(&sd.Engine)(keys[0]-1, keys[len(keys)-1]+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestShardedDynamicRebuildIsolation(t *testing.T) {
 			t.Fatalf("cold insert: %v", err)
 		}
 		coldInserts++
-		if _, _, err := sd.RangeSum(bounds[0], base+2e6); err != nil {
+		if _, _, err := engineSum(&sd.Engine)(bounds[0], base+2e6); err != nil {
 			t.Fatalf("cold query: %v", err)
 		}
 		coldQueries++

@@ -674,7 +674,7 @@ func (s *Server) Close() error {
 }
 
 // RestoreRequest carries a previously marshalled blob (GET /marshal, or
-// Index/DynamicIndex.MarshalBinary) to load under a name.
+// polyfit.Index.MarshalBinary) to load under a name.
 type RestoreRequest struct {
 	Blob string `json:"blob"` // base64 (std encoding)
 }

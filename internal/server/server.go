@@ -77,12 +77,9 @@ type entry struct {
 	// sharded, sharded dynamic — serves the same polyfit.Index contract, so
 	// the handlers never switch on concrete types.
 	ix polyfit.Index
-	// cq is ix's deadline-aware query surface, which every index
-	// polyfit.New, Open and Assemble return implements. ins is ix's
-	// Inserter capability (nil for static indexes); shd its
+	// ins is ix's Inserter capability (nil for static indexes); shd its
 	// ShardSnapshotter capability (nil unless sharded dynamic), the unit of
 	// per-shard durability.
-	cq  polyfit.ContextQuerier
 	ins polyfit.Inserter
 	shd polyfit.ShardSnapshotter
 
@@ -118,7 +115,7 @@ type entry struct {
 
 // newEntry wraps an index, discovering its optional capabilities once.
 func newEntry(ix polyfit.Index) *entry {
-	e := &entry{ix: ix, cq: ix.(polyfit.ContextQuerier)}
+	e := &entry{ix: ix}
 	e.ins, _ = ix.(polyfit.Inserter)
 	e.shd, _ = ix.(polyfit.ShardSnapshotter)
 	return e
@@ -480,7 +477,7 @@ func buildEntry(req CreateRequest) (*entry, error) {
 			return nil, err
 		}
 		if req.Dynamic && e.ins == nil {
-			return nil, errors.New("dynamic=true but the blob is a static index (dynamic blobs come from DynamicIndex.MarshalBinary)")
+			return nil, errors.New("dynamic=true but the blob is a static index (dynamic blobs come from the MarshalBinary of an index built WithDynamic)")
 		}
 		return e, nil
 	}
@@ -672,9 +669,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var res polyfit.Result
 		var err error
 		if req.EpsRel > 0 {
-			res, err = e.cq.QueryRelContext(ctx, rng, req.EpsRel)
+			res, err = e.ix.QueryRelContext(ctx, rng, req.EpsRel)
 		} else {
-			res, err = e.cq.QueryContext(ctx, rng)
+			res, err = e.ix.QueryContext(ctx, rng)
 		}
 		return QueryResponse{Value: res.Value, Found: res.Found, Exact: res.Exact, Bound: res.Bound}, err
 	})
@@ -695,7 +692,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i, rr := range req.Ranges {
 			ranges[i] = polyfit.Range{Lo: rr.Lo, Hi: rr.Hi}
 		}
-		results, err := e.cq.QueryBatchContext(ctx, ranges)
+		results, err := e.ix.QueryBatchContext(ctx, ranges)
 		if err != nil {
 			return nil, err
 		}

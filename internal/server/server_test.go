@@ -68,11 +68,12 @@ func TestServeStaticCountEndToEnd(t *testing.T) {
 	}
 
 	// Single query matches the library answer.
-	ix, err := polyfit.NewCountIndex(keys, polyfit.Options{EpsAbs: 50})
+	ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}, polyfit.WithMaxError(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := ix.Query(10, 40)
+	lib, _ := ix.Query(polyfit.Range{Lo: 10, Hi: 40})
+	want := lib.Value
 	var q QueryResponse
 	post(t, ts, "/v1/indexes/tweets/query", QueryRequest{Lo: 10, Hi: 40}, &q)
 	if !q.Found || math.Abs(q.Value-want) > 1e-9 {
@@ -81,7 +82,7 @@ func TestServeStaticCountEndToEnd(t *testing.T) {
 
 	// Relative query runs the certified path.
 	post(t, ts, "/v1/indexes/tweets/query", QueryRequest{Lo: 10, Hi: 40, EpsRel: 0.01}, &q)
-	res, _ := ix.QueryRel(10, 40, 0.01)
+	res, _ := ix.QueryRel(polyfit.Range{Lo: 10, Hi: 40}, 0.01)
 	if math.Abs(q.Value-res.Value) > 1e-9 {
 		t.Fatalf("rel query = %+v, want %g", q, res.Value)
 	}
@@ -103,9 +104,9 @@ func TestServeStaticCountEndToEnd(t *testing.T) {
 		t.Fatalf("batch: status %d, %d results", resp.StatusCode, len(batch.Results))
 	}
 	for i, rr := range req.Ranges {
-		want, _, _ := ix.Query(rr.Lo, rr.Hi)
-		if got := batch.Results[i].Value; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("batch result %d = %g, want %g", i, got, want)
+		want, _ := ix.Query(polyfit.Range{Lo: rr.Lo, Hi: rr.Hi})
+		if got := batch.Results[i].Value; math.Abs(got-want.Value) > 1e-9 {
+			t.Fatalf("batch result %d = %g, want %g", i, got, want.Value)
 		}
 	}
 

@@ -28,8 +28,7 @@ func DetectBlob(data []byte) BlobKind { return core.DetectBlob(data) }
 // Open restores any serialised one-key index behind the uniform Index
 // interface, sniffing the blob kind (static POL1, dynamic POLD, sharded
 // POLS) and returning the matching implementation — dynamic blobs come back
-// insertable (Inserter), sharded ones range-partitioned (Sharder). It
-// replaces the per-type UnmarshalBinary dance of the v1 API.
+// insertable (Inserter), sharded ones range-partitioned (Sharder).
 //
 // Corrupt, truncated, or internally inconsistent blobs are rejected with an
 // error wrapping ErrCorruptBlob; Open never panics on garbage input. Blobs
@@ -43,13 +42,13 @@ func Open(data []byte) (Index, error) {
 		if err := inner.UnmarshalBinary(data); err != nil {
 			return nil, err
 		}
-		return &staticIndex{inner: inner}, nil
+		return newStaticIndex(inner), nil
 	case core.BlobDynamic:
 		inner, err := core.RestoreDynamic(data)
 		if err != nil {
 			return nil, err
 		}
-		return &dynamicIndex{inner: inner}, nil
+		return newDynamicIndex(inner), nil
 	case core.BlobShardedStatic:
 		inner := &core.Sharded1D{}
 		if err := inner.UnmarshalBinary(data); err != nil {
@@ -85,14 +84,6 @@ func Open2D(data []byte) (*Index2D, error) {
 // must agree on aggregate and δ and hold key ranges consistent with the
 // bounds; violations are rejected with an error wrapping ErrCorruptBlob.
 func Assemble(bounds []float64, shardBlobs [][]byte) (Index, error) {
-	inner, err := assembleShards(bounds, shardBlobs)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedDynamicIndex(inner), nil
-}
-
-func assembleShards(bounds []float64, shardBlobs [][]byte) (*core.ShardedDynamic1D, error) {
 	shards := make([]*core.Dynamic1D, len(shardBlobs))
 	for i, blob := range shardBlobs {
 		sh, err := core.RestoreDynamic(blob)
@@ -101,5 +92,9 @@ func assembleShards(bounds []float64, shardBlobs [][]byte) (*core.ShardedDynamic
 		}
 		shards[i] = sh
 	}
-	return core.AssembleShardedDynamic(bounds, shards)
+	inner, err := core.AssembleShardedDynamic(bounds, shards)
+	if err != nil {
+		return nil, err
+	}
+	return newShardedDynamicIndex(inner), nil
 }

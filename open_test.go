@@ -160,8 +160,8 @@ func TestOpenRejects2DBlob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open2D: %v", err)
 	}
-	a, _ := ix2.QueryWithBound(10, 400, 10, 400)
-	b, _ := loaded.QueryWithBound(10, 400, 10, 400)
+	a, _ := ix2.Query(10, 400, 10, 400)
+	b, _ := loaded.Query(10, 400, 10, 400)
 	if a != b {
 		t.Errorf("2D round-trip diverged: %+v vs %+v", a, b)
 	}

@@ -1,14 +1,7 @@
 package polyfit
 
-// This file holds the v1 public API: per-variant concrete types with
-// 4-per-aggregate constructors. It is kept as a thin, deprecated
-// compatibility layer — every constructor delegates to the polyfit.New
-// builder and every method to the same internals that back the Index
-// interface, so existing callers compile unchanged while new code uses
-// New/Open. The one intentional break: the v1 static struct is now named
-// StaticIndex, because polyfit.Index is the interface — code that spelled
-// `polyfit.Index` as a concrete type must rename or move to Open. See
-// doc.go for the migration table.
+// This file holds the package-wide vocabulary types: the aggregate
+// functions and the coefficient encodings.
 
 import (
 	"repro/internal/core"
@@ -42,142 +35,3 @@ const (
 	EncF32    = core.EncF32
 	EncPacked = core.EncPacked
 )
-
-// Options configures index construction in the v1 API.
-//
-// Deprecated: use functional options with polyfit.New (WithMaxError,
-// WithDelta, WithDegree, WithFallback, WithParallelism).
-type Options struct {
-	// EpsAbs is the absolute error guarantee εabs. The build derives the
-	// fitting tolerance δ per the paper's lemmas (εabs/2 for COUNT/SUM,
-	// εabs for MIN/MAX, εabs/4 for two-key COUNT).
-	EpsAbs float64
-	// Delta overrides the derived fitting tolerance δ directly (used when
-	// the index mainly serves relative-error queries, e.g. the paper uses
-	// δ=50 for 1D and δ=250 for 2D in Problem 2). Takes precedence over
-	// EpsAbs when positive.
-	Delta float64
-	// Degree of the fitted polynomials (default 2 — the paper's PolyFit-2).
-	Degree int
-	// DisableFallback skips building the exact structures used by QueryRel.
-	DisableFallback bool
-	// Parallelism is the number of goroutines used by index construction
-	// (greedy segmentation, and merge-rebuilds of dynamic indexes); values
-	// ≤ 1 build serially. The produced index is identical for every worker
-	// count, so this is purely a build-latency knob.
-	Parallelism int
-}
-
-// options lowers the v1 struct onto the builder's functional options
-// (non-positive values are no-ops there, so zero fields mean "default").
-func (o Options) options(extra ...Option) []Option {
-	return append([]Option{
-		WithMaxError(o.EpsAbs),
-		WithDelta(o.Delta),
-		WithDegree(o.Degree),
-		WithFallback(!o.DisableFallback),
-		WithParallelism(o.Parallelism),
-	}, extra...)
-}
-
-// StaticIndex is an immutable PolyFit index over one key — the v1 concrete
-// type behind polyfit.New's default (static, unsharded) layout.
-//
-// Deprecated: build with polyfit.New and query through the Index interface.
-type StaticIndex struct {
-	inner *core.Index1D
-}
-
-// newStatic delegates a v1 static build to the builder and unwraps the
-// concrete index.
-func newStatic(agg Agg, keys, measures []float64, opt Options) (*StaticIndex, error) {
-	ix, err := New(Spec{Agg: agg, Keys: keys, Measures: measures}, opt.options()...)
-	if err != nil {
-		return nil, err
-	}
-	return &StaticIndex{inner: ix.(*staticIndex).inner}, nil
-}
-
-// NewCountIndex builds an index answering approximate range COUNT queries
-// over the given keys (sorted, strictly increasing).
-//
-// Deprecated: use polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys}, ...).
-func NewCountIndex(keys []float64, opt Options) (*StaticIndex, error) {
-	return newStatic(Count, keys, nil, opt)
-}
-
-// NewSumIndex builds an index answering approximate range SUM queries over
-// (key, measure) records. Measures must be non-negative for the
-// relative-error guarantee.
-//
-// Deprecated: use polyfit.New(polyfit.Spec{Agg: polyfit.Sum, ...}, ...).
-func NewSumIndex(keys, measures []float64, opt Options) (*StaticIndex, error) {
-	return newStatic(Sum, keys, measures, opt)
-}
-
-// NewMaxIndex builds an index answering approximate range MAX queries.
-//
-// Deprecated: use polyfit.New(polyfit.Spec{Agg: polyfit.Max, ...}, ...).
-func NewMaxIndex(keys, measures []float64, opt Options) (*StaticIndex, error) {
-	return newStatic(Max, keys, measures, opt)
-}
-
-// NewMinIndex builds an index answering approximate range MIN queries.
-//
-// Deprecated: use polyfit.New(polyfit.Spec{Agg: polyfit.Min, ...}, ...).
-func NewMinIndex(keys, measures []float64, opt Options) (*StaticIndex, error) {
-	return newStatic(Min, keys, measures, opt)
-}
-
-// Query answers the approximate range aggregate over [lq, uq] (COUNT/SUM use
-// the half-open (lq, uq] semantics of the paper's Equation 5). For MIN/MAX
-// an empty range returns found=false; COUNT/SUM return 0 with found=true.
-// NaN endpoints are rejected with ErrInvalidRange, exactly as on the Index
-// interface (the wrapper delegates to the same adapter).
-func (ix *StaticIndex) Query(lq, uq float64) (value float64, found bool, err error) {
-	res, err := (&staticIndex{inner: ix.inner}).Query(Range{Lo: lq, Hi: uq})
-	return res.Value, res.Found, err
-}
-
-// BatchResult is the answer to one Range of a v1 batch; Found mirrors
-// Query's found result. The Index interface's QueryBatch returns []Result
-// (with per-range error bounds) instead.
-type BatchResult = core.BatchResult
-
-// QueryBatch answers many ranges in one call, equivalent to calling Query
-// per range but with the per-query segment binary search amortised across
-// the sorted batch — the hot path of the serving layer's batched endpoint.
-// Results are returned in input order.
-func (ix *StaticIndex) QueryBatch(ranges []Range) ([]BatchResult, error) {
-	if err := validateRanges(ranges...); err != nil {
-		return nil, err
-	}
-	return ix.inner.QueryBatch(ranges)
-}
-
-// QueryRel answers within the relative error epsRel (Problem 2). The result
-// is certified: either the approximate gate passed (Result.Bound carries
-// the 2δ/δ guarantee), or the exact structure answered (Bound 0).
-func (ix *StaticIndex) QueryRel(lq, uq, epsRel float64) (Result, error) {
-	return (&staticIndex{inner: ix.inner}).QueryRel(Range{Lo: lq, Hi: uq}, epsRel)
-}
-
-// Stats returns structural information about the index.
-func (ix *StaticIndex) Stats() Stats { return stats1D(ix.inner) }
-
-// MarshalBinary serialises the compact index structure (without exact
-// fallbacks — see the package documentation).
-func (ix *StaticIndex) MarshalBinary() ([]byte, error) { return ix.inner.MarshalBinary() }
-
-// UnmarshalBinary loads a serialised index.
-//
-// Deprecated: use polyfit.Open, which sniffs the blob kind and restores any
-// index variant behind the Index interface.
-func (ix *StaticIndex) UnmarshalBinary(data []byte) error {
-	inner := &core.Index1D{}
-	if err := inner.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	ix.inner = inner
-	return nil
-}

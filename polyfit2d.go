@@ -1,18 +1,15 @@
 package polyfit
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/core"
 )
 
 // Index2D is a PolyFit index over two keys (Section VI of the paper),
 // answering approximate rectangle COUNT (or weighted SUM) queries from a
 // quadtree of fitted cumulative surfaces. Its query contract mirrors the
-// one-key Index interface — QueryWithBound and QueryRel return the uniform
-// Result with the certified absolute bound (4δ per Lemma 6, 0 on the exact
-// path) — adapted to rectangle arguments.
+// one-key Index interface — Query and QueryRel return the uniform Result
+// with the certified absolute bound (4δ per Lemma 6, 0 on the exact path
+// and for empty rectangles) — adapted to rectangle arguments.
 type Index2D struct {
 	inner *core.Index2D
 }
@@ -78,53 +75,22 @@ func (o Options2D) delta() (float64, error) {
 }
 
 // Query answers the approximate COUNT/SUM over the half-open rectangle
-// (xlo, xhi] × (ylo, yhi], mirroring the 1D Query contract: an empty
-// (inverted) rectangle answers 0 with found=true, and rectangles with NaN
-// coordinates are rejected with ErrInvalidRange. Use QueryWithBound to
-// also receive the certified error bound.
-func (ix *Index2D) Query(xlo, xhi, ylo, yhi float64) (value float64, found bool, err error) {
-	res, err := ix.QueryWithBound(xlo, xhi, ylo, yhi)
-	return res.Value, res.Found, err
-}
-
-// QueryWithBound answers the approximate rectangle aggregate and reports
-// the certified absolute error bound in Result.Bound: 4δ (Lemma 6 — the
-// four-corner identity evaluates the fitted surface four times, each within
-// δ), or 0 for an empty rectangle, whose answer is exactly 0.
-func (ix *Index2D) QueryWithBound(xlo, xhi, ylo, yhi float64) (Result, error) {
-	if err := validateRect(xlo, xhi, ylo, yhi); err != nil {
-		return Result{}, err
-	}
-	bound := 4 * ix.inner.Delta()
-	if xhi < xlo || yhi < ylo {
-		bound = 0
-	}
-	return Result{Value: ix.inner.RangeCount(xlo, xhi, ylo, yhi), Found: true, Bound: bound}, nil
+// (xlo, xhi] × (ylo, yhi] and reports the certified absolute error bound in
+// Result.Bound: 4δ (Lemma 6 — the four-corner identity evaluates the fitted
+// surface four times, each within δ), or 0 for an empty (inverted)
+// rectangle, whose answer is exactly 0. Rectangles with NaN coordinates are
+// rejected with ErrInvalidRange.
+func (ix *Index2D) Query(xlo, xhi, ylo, yhi float64) (Result, error) {
+	res, err := ix.inner.Query(xlo, xhi, ylo, yhi)
+	return Result(res), err
 }
 
 // QueryRel answers within relative error epsRel (Lemma 7 gate with exact
 // aR-tree fallback). Rectangle validation matches Query; Result.Bound is
 // 4δ for certified approximate answers and 0 when the exact path answered.
 func (ix *Index2D) QueryRel(xlo, xhi, ylo, yhi, epsRel float64) (Result, error) {
-	if err := validateRect(xlo, xhi, ylo, yhi); err != nil {
-		return Result{}, err
-	}
-	v, exact, err := ix.inner.RangeCountRel(xlo, xhi, ylo, yhi, epsRel)
-	if err != nil {
-		return Result{}, err
-	}
-	bound := 4 * ix.inner.Delta()
-	if exact {
-		bound = 0
-	}
-	return Result{Value: v, Exact: exact, Found: true, Bound: bound}, nil
-}
-
-func validateRect(xlo, xhi, ylo, yhi float64) error {
-	if math.IsNaN(xlo) || math.IsNaN(xhi) || math.IsNaN(ylo) || math.IsNaN(yhi) {
-		return fmt.Errorf("%w: NaN rectangle coordinate (%g, %g, %g, %g)", ErrInvalidRange, xlo, xhi, ylo, yhi)
-	}
-	return nil
+	res, err := ix.inner.QueryRel(xlo, xhi, ylo, yhi, epsRel)
+	return Result(res), err
 }
 
 // Stats2D summarises a two-key index, mirroring the 1D Stats fields where
@@ -167,15 +133,3 @@ func (ix *Index2D) Stats() Stats2D {
 // MarshalBinary serialises the quadtree structure (without the exact
 // fallback); polyfit.Open2D restores it.
 func (ix *Index2D) MarshalBinary() ([]byte, error) { return ix.inner.MarshalBinary() }
-
-// UnmarshalBinary loads a serialised two-key index.
-//
-// Deprecated: use polyfit.Open2D.
-func (ix *Index2D) UnmarshalBinary(data []byte) error {
-	inner := &core.Index2D{}
-	if err := inner.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	ix.inner = inner
-	return nil
-}

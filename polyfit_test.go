@@ -10,10 +10,10 @@ import (
 
 func TestOptionsValidation(t *testing.T) {
 	keys := data.GenTweet(500, 1)
-	if _, err := NewCountIndex(keys, Options{}); err != ErrBadOptions {
+	if _, err := New(Spec{Agg: Count, Keys: keys}); err != ErrBadOptions {
 		t.Errorf("zero options should yield ErrBadOptions, got %v", err)
 	}
-	if _, err := NewCountIndex(nil, Options{EpsAbs: 10}); err == nil {
+	if _, err := New(Spec{Agg: Count}, WithMaxError(10)); err == nil {
 		t.Error("empty keys should error")
 	}
 }
@@ -21,7 +21,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestCountIndexEndToEnd(t *testing.T) {
 	keys := data.GenTweet(5000, 2)
 	const eps = 50.0
-	ix, err := NewCountIndex(keys, Options{EpsAbs: eps})
+	ix, err := New(Spec{Agg: Count, Keys: keys}, WithMaxError(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,11 @@ func TestCountIndexEndToEnd(t *testing.T) {
 	}
 	qs := data.RangeQueriesFromKeys(keys, 400, 3)
 	for _, q := range qs {
-		got, found, err := ix.Query(q.L, q.U)
-		if err != nil || !found {
-			t.Fatalf("Query error: %v found=%v", err, found)
+		res, err := ix.Query(Range{Lo: q.L, Hi: q.U})
+		if err != nil || !res.Found {
+			t.Fatalf("Query error: %v found=%v", err, res.Found)
 		}
+		got := res.Value
 		want := 0.0
 		for _, k := range keys {
 			if k > q.L && k <= q.U {
@@ -52,13 +53,13 @@ func TestCountIndexEndToEnd(t *testing.T) {
 
 func TestSumIndexEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 4)
-	ix, err := NewSumIndex(keys, measures, Options{EpsAbs: 1e5})
+	ix, err := New(Spec{Agg: Sum, Keys: keys, Measures: measures}, WithMaxError(1e5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := data.RangeQueriesFromKeys(keys, 200, 5)
 	for _, q := range qs {
-		got, _, err := ix.Query(q.L, q.U)
+		res, err := ix.Query(Range{Lo: q.L, Hi: q.U})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,32 +69,35 @@ func TestSumIndexEndToEnd(t *testing.T) {
 				want += measures[i]
 			}
 		}
-		if math.Abs(got-want) > 1e5+1e-6 {
-			t.Fatalf("SUM |%g − %g| > εabs", got, want)
+		if math.Abs(res.Value-want) > 1e5+1e-6 {
+			t.Fatalf("SUM |%g − %g| > εabs", res.Value, want)
 		}
 	}
 }
 
 func TestMaxMinIndexEndToEnd(t *testing.T) {
 	keys, measures := data.GenHKI(4000, 6)
-	mx, err := NewMaxIndex(keys, measures, Options{EpsAbs: 100})
+	mx, err := New(Spec{Agg: Max, Keys: keys, Measures: measures}, WithMaxError(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := NewMinIndex(keys, measures, Options{EpsAbs: 100})
+	mn, err := New(Spec{Agg: Min, Keys: keys, Measures: measures}, WithMaxError(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := data.RangeQueriesFromKeys(keys, 200, 7)
 	for _, q := range qs {
-		gotMax, foundMax, err := mx.Query(q.L, q.U)
+		r := Range{Lo: q.L, Hi: q.U}
+		resMax, err := mx.Query(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMin, foundMin, err := mn.Query(q.L, q.U)
+		resMin, err := mn.Query(r)
 		if err != nil {
 			t.Fatal(err)
 		}
+		gotMax, foundMax := resMax.Value, resMax.Found
+		gotMin, foundMin := resMin.Value, resMin.Found
 		wantMax, wantMin := math.Inf(-1), math.Inf(1)
 		any := false
 		for i, k := range keys {
@@ -122,14 +126,14 @@ func TestQueryRelCertified(t *testing.T) {
 	// δ=5 keeps the Lemma 3 gate 2δ(1+1/εrel) = 1010 well below the dataset
 	// cardinality so wide queries exercise the approximate path.
 	keys := data.GenTweet(6000, 8)
-	ix, err := NewCountIndex(keys, Options{Delta: 5})
+	ix, err := New(Spec{Agg: Count, Keys: keys}, WithDelta(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := data.RangeQueriesFromKeys(keys, 300, 9)
 	approx := 0
 	for _, q := range qs {
-		res, err := ix.QueryRel(q.L, q.U, 0.01)
+		res, err := ix.QueryRel(Range{Lo: q.L, Hi: q.U}, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,21 +161,21 @@ func TestQueryRelCertified(t *testing.T) {
 
 func TestDisableFallback(t *testing.T) {
 	keys := data.GenTweet(1000, 10)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 20, DisableFallback: true})
+	ix, err := New(Spec{Agg: Count, Keys: keys}, WithMaxError(20), WithFallback(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.Stats().FallbackBytes != 0 {
 		t.Error("fallback bytes should be 0")
 	}
-	if _, err := ix.QueryRel(keys[0], keys[1], 1e-12); err != ErrNoFallback {
+	if _, err := ix.QueryRel(Range{Lo: keys[0], Hi: keys[1]}, 1e-12); err != ErrNoFallback {
 		t.Errorf("want ErrNoFallback, got %v", err)
 	}
 }
 
 func TestIndexRoundTrip(t *testing.T) {
 	keys := data.GenTweet(3000, 11)
-	orig, err := NewCountIndex(keys, Options{EpsAbs: 40})
+	orig, err := New(Spec{Agg: Count, Keys: keys}, WithMaxError(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +183,16 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded StaticIndex
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	qs := data.RangeQueriesFromKeys(keys, 100, 12)
 	for _, q := range qs {
-		a, _, _ := orig.Query(q.L, q.U)
-		b, _, err := loaded.Query(q.L, q.U)
+		a, _ := orig.Query(Range{Lo: q.L, Hi: q.U})
+		b, err := loaded.Query(Range{Lo: q.L, Hi: q.U})
 		if err != nil || a != b {
-			t.Fatalf("round-trip divergence: %g vs %g (%v)", a, b, err)
+			t.Fatalf("round-trip divergence: %+v vs %+v (%v)", a, b, err)
 		}
 	}
 }
@@ -206,10 +210,11 @@ func TestIndex2DEndToEnd(t *testing.T) {
 	qs := data.UniformRects(-180, 180, -90, 90, 200, 14)
 	bad := 0
 	for _, q := range qs {
-		got, found, err := ix.Query(q.XLo, q.XHi, q.YLo, q.YHi)
-		if err != nil || !found {
-			t.Fatalf("Query(%+v): found=%v err=%v", q, found, err)
+		res, err := ix.Query(q.XLo, q.XHi, q.YLo, q.YHi)
+		if err != nil || !res.Found {
+			t.Fatalf("Query(%+v): found=%v err=%v", q, res.Found, err)
 		}
+		got := res.Value
 		want := 0.0
 		for i := range xs {
 			if xs[i] > q.XLo && xs[i] <= q.XHi && ys[i] > q.YLo && ys[i] <= q.YHi {
@@ -236,15 +241,15 @@ func TestIndex2DEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded Index2D
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := Open2D(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range qs[:50] {
-		a, _, _ := ix.Query(q.XLo, q.XHi, q.YLo, q.YHi)
-		b, _, _ := loaded.Query(q.XLo, q.XHi, q.YLo, q.YHi)
+		a, _ := ix.Query(q.XLo, q.XHi, q.YLo, q.YHi)
+		b, _ := loaded.Query(q.XLo, q.XHi, q.YLo, q.YHi)
 		if a != b {
-			t.Fatalf("2D round-trip divergence: %g vs %g", a, b)
+			t.Fatalf("2D round-trip divergence: %+v vs %+v", a, b)
 		}
 	}
 }
@@ -256,13 +261,13 @@ func TestIndex2DQueryValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inverted rectangles are empty: 0 with found=true, like the 1D COUNT.
-	if v, found, err := ix.Query(10, -10, 0, 5); v != 0 || !found || err != nil {
-		t.Errorf("inverted rectangle: (%g, %v, %v), want (0, true, nil)", v, found, err)
+	if res, err := ix.Query(10, -10, 0, 5); res.Value != 0 || !res.Found || err != nil {
+		t.Errorf("inverted rectangle: (%+v, %v), want (0, true, nil)", res, err)
 	}
 	// NaN coordinates are caller bugs; reject instead of answering garbage.
 	nan := math.NaN()
 	for _, r := range [][4]float64{{nan, 10, 0, 5}, {0, nan, 0, 5}, {0, 10, nan, 5}, {0, 10, 0, nan}} {
-		if _, found, err := ix.Query(r[0], r[1], r[2], r[3]); err == nil || found {
+		if res, err := ix.Query(r[0], r[1], r[2], r[3]); err == nil || res.Found {
 			t.Errorf("Query(%v) accepted a NaN rectangle", r)
 		}
 		if _, err := ix.QueryRel(r[0], r[1], r[2], r[3], 0.05); err == nil {
@@ -284,7 +289,7 @@ func TestIndex2DOptionsValidation(t *testing.T) {
 func TestCompressionHeadline(t *testing.T) {
 	// The headline claim: the index is far smaller than the data.
 	keys := data.GenTweet(50000, 16)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 100, DisableFallback: true})
+	ix, err := New(Spec{Agg: Count, Keys: keys}, WithMaxError(100), WithFallback(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +303,7 @@ func TestCompressionHeadline(t *testing.T) {
 
 func BenchmarkPublicQueryCount(b *testing.B) {
 	keys := data.GenTweet(100000, 1)
-	ix, err := NewCountIndex(keys, Options{EpsAbs: 100})
+	ix, err := New(Spec{Agg: Count, Keys: keys}, WithMaxError(100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +311,7 @@ func BenchmarkPublicQueryCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i&1023]
-		ix.Query(q.L, q.U) //nolint:errcheck
+		ix.Query(Range{Lo: q.L, Hi: q.U}) //nolint:errcheck
 	}
 }
 

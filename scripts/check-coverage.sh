@@ -8,7 +8,7 @@ set -euo pipefail
 MIN_COVERAGE="${MIN_COVERAGE:-75.0}"
 PKGS=("$@")
 if [ ${#PKGS[@]} -eq 0 ]; then
-  PKGS=(internal/core internal/segment internal/server)
+  PKGS=(. internal/core internal/segment internal/server)
 fi
 
 fail=0

@@ -31,12 +31,15 @@ func shardedDataset(n int, seed int64) (keys, measures []float64) {
 // bound-reporting queries, batch, round trip, stats.
 func TestShardedIndexPublic(t *testing.T) {
 	keys, measures := shardedDataset(2000, 1)
-	ix, err := polyfit.NewSharded(polyfit.Sum, keys, measures, polyfit.ShardOptions{
-		Options: polyfit.Options{EpsAbs: 40}, Shards: 4,
-	})
+	built, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: measures},
+		polyfit.WithMaxError(40), polyfit.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := built.(interface {
+		polyfit.Index
+		polyfit.Sharder
+	})
 	if ix.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", ix.NumShards())
 	}
@@ -62,7 +65,7 @@ func TestShardedIndexPublic(t *testing.T) {
 		if i > j {
 			i, j = j, i
 		}
-		res, err := ix.QueryWithBound(keys[i], keys[j])
+		res, err := ix.Query(polyfit.Range{Lo: keys[i], Hi: keys[j]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,14 +84,15 @@ func TestShardedIndexPublic(t *testing.T) {
 	if polyfit.DetectBlob(blob) != polyfit.BlobShardedStatic {
 		t.Fatalf("DetectBlob = %v", polyfit.DetectBlob(blob))
 	}
-	var loaded polyfit.ShardedIndex
-	if err := loaded.UnmarshalBinary(blob); err != nil {
+	loaded, err := polyfit.Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _ := ix.Query(keys[3], keys[len(keys)-3])
-	b, _, _ := loaded.Query(keys[3], keys[len(keys)-3])
-	if math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("round-trip drift: %g vs %g", a, b)
+	span := polyfit.Range{Lo: keys[3], Hi: keys[len(keys)-3]}
+	a, _ := ix.Query(span)
+	b, _ := loaded.Query(span)
+	if math.Float64bits(a.Value) != math.Float64bits(b.Value) {
+		t.Fatalf("round-trip drift: %g vs %g", a.Value, b.Value)
 	}
 }
 
@@ -104,24 +108,29 @@ func TestShardedDynamicPublic(t *testing.T) {
 			base = append(base, k)
 		}
 	}
-	sd, err := polyfit.NewShardedDynamic(polyfit.Count, base, nil, polyfit.ShardOptions{
-		Options: polyfit.Options{EpsAbs: 30}, Shards: 4,
-	})
+	built, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: base},
+		polyfit.WithMaxError(30), polyfit.WithDynamic(), polyfit.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	type shardedDynamic interface {
+		polyfit.Index
+		polyfit.Inserter
+		polyfit.ShardSnapshotter
+	}
+	sd := built.(shardedDynamic)
 	for _, k := range ins {
 		if err := sd.Insert(k, 1); err != nil {
 			t.Fatalf("insert %g: %v", k, err)
 		}
 	}
-	if sd.Len() != len(keys) {
-		t.Fatalf("Len %d, want %d", sd.Len(), len(keys))
+	if n := sd.Stats().Records; n != len(keys) {
+		t.Fatalf("Records %d, want %d", n, len(keys))
 	}
 	if err := sd.Insert(ins[0], 1); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	res, err := sd.QueryWithBound(keys[0]-1, keys[len(keys)-1]+1)
+	res, err := sd.Query(polyfit.Range{Lo: keys[0] - 1, Hi: keys[len(keys)-1] + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +147,19 @@ func TestShardedDynamicPublic(t *testing.T) {
 	if polyfit.DetectBlob(blob) != polyfit.BlobShardedDynamic {
 		t.Fatalf("DetectBlob = %v", polyfit.DetectBlob(blob))
 	}
-	var restored polyfit.ShardedDynamic
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	opened, err := polyfit.Open(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != sd.Len() || restored.BufferLen() != sd.BufferLen() {
-		t.Fatalf("restored len %d/%d, want %d/%d", restored.Len(), restored.BufferLen(), sd.Len(), sd.BufferLen())
+	restored := opened.(shardedDynamic)
+	if restored.Stats().Records != sd.Stats().Records || restored.BufferLen() != sd.BufferLen() {
+		t.Fatalf("restored len %d/%d, want %d/%d", restored.Stats().Records, restored.BufferLen(), sd.Stats().Records, sd.BufferLen())
 	}
-	ra, _, _ := sd.Query(base[10], base[1500])
-	rb, _, _ := restored.Query(base[10], base[1500])
-	if math.Float64bits(ra) != math.Float64bits(rb) {
-		t.Fatalf("restored drift: %g vs %g", ra, rb)
+	probe := polyfit.Range{Lo: base[10], Hi: base[1500]}
+	ra, _ := sd.Query(probe)
+	rb, _ := restored.Query(probe)
+	if math.Float64bits(ra.Value) != math.Float64bits(rb.Value) {
+		t.Fatalf("restored drift: %g vs %g", ra.Value, rb.Value)
 	}
 	// Per-shard marshal + assembly round trip (the recovery path).
 	blobs := make([][]byte, sd.NumShards())
@@ -157,12 +168,12 @@ func TestShardedDynamicPublic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assembled, err := polyfit.AssembleShardedDynamic(sd.Bounds(), blobs)
+	assembled, err := polyfit.Assemble(sd.Bounds(), blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, _, _ := assembled.Query(base[10], base[1500])
-	if math.Float64bits(ra) != math.Float64bits(rc) {
-		t.Fatalf("assembled drift: %g vs %g", ra, rc)
+	rc, _ := assembled.Query(probe)
+	if math.Float64bits(ra.Value) != math.Float64bits(rc.Value) {
+		t.Fatalf("assembled drift: %g vs %g", ra.Value, rc.Value)
 	}
 }

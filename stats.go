@@ -28,8 +28,7 @@ func (s Stats) String() string {
 		s.Aggregate, s.Records, s.Segments, s.Degree, s.Delta, s.IndexBytes, s.FallbackBytes)
 }
 
-// The helpers below are the single source of Stats for each layout; both the
-// Index interface implementations and the deprecated v1 types call them.
+// The helpers below are the single source of Stats for each layout.
 
 func stats1D(ix *core.Index1D) Stats {
 	lo, hi := ix.KeyRange()
