@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench bench-smoke benchdiff benchcheck crashtest chaos cluster cover oracle apicheck lint fmt vet
+.PHONY: test race bench bench-smoke benchdiff benchcheck ingestsmoke crashtest chaos cluster cover oracle apicheck lint fmt vet
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -34,6 +34,18 @@ benchdiff:
 # catches a server change that breaks the benchmark's build.
 benchcheck:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+
+# Short traced ingest through the benchmark program: the served write path
+# end to end (router, leader, follower, WAL, merge-rebuilds) plus the
+# traced replay of every acknowledged insert, under a 300 s limit. Fails
+# unless the result line reads "correct":true (no lost insert, no bound
+# violation, no replica mismatch) with "failed":0.
+ingestsmoke:
+	@line="$$(timeout 300 bash perfbench/run.sh --workload ingest --seed 1 --seconds 5 --trace 1 | grep '"correct":')" || \
+		{ echo "ingestsmoke: the run failed, timed out or printed no result line" >&2; exit 1; }; \
+	echo "$$line" | cut -c1-160; \
+	echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]' || \
+		{ echo "ingestsmoke: result is not correct with 0 failed operations" >&2; exit 1; }
 
 # End-to-end crash-recovery check: build polyfit-serve, run it with a
 # -data-dir, acknowledge inserts, SIGKILL it mid-workload, restart, and

@@ -675,6 +675,62 @@ func BenchmarkDynamicConcurrentThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicInsert measures applying records to a dynamic COUNT
+// index whose buffer holds 100k–150k records over a 400k-key base (below
+// the n/2 merge-rebuild threshold, so no re-fit is timed): one Insert per
+// record, and 64-record InsertBatch calls. ns/op is per record; every 50k
+// records the index is restored from a blob with the original 100k-record
+// buffer, outside the timer.
+func BenchmarkDynamicInsert(b *testing.B) {
+	const baseN, buffered, window = 400_000, 100_000, 50_000
+	base := make([]float64, baseN)
+	for i := range base {
+		base[i] = float64(2 * i)
+	}
+	fresh := rand.New(rand.NewSource(43)).Perm(baseN) // odd keys 2i+1
+	key := func(i int) float64 { return float64(2*fresh[i] + 1) }
+	d, err := core.NewDynamic(core.Count, base, make([]float64, baseN), core.Options{Delta: 50, NoFallback: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefill := make([]float64, buffered)
+	for i := range prefill {
+		prefill[i] = key(i)
+	}
+	d.InsertBatch(prefill, nil)
+	blob, err := d.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range []int{1, 64} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			var d *core.Dynamic1D
+			next := buffered + window // restore before the first record
+			keys := make([]float64, batch)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += batch {
+				if next+batch > buffered+window {
+					b.StopTimer()
+					if d, err = core.RestoreDynamic(blob); err != nil {
+						b.Fatal(err)
+					}
+					next = buffered
+					b.StartTimer()
+				}
+				for j := range keys {
+					keys[j] = key(next + j)
+				}
+				next += batch
+				if batch == 1 {
+					d.Insert(keys[0], 1) //nolint:errcheck // fresh keys: cannot fail
+				} else {
+					d.InsertBatch(keys, nil)
+				}
+			}
+		})
+	}
+}
+
 // --- PR 2: construction and locate hot paths -----------------------------------
 
 // BenchmarkLocate isolates the per-query segment-location primitive: the

@@ -304,6 +304,68 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRecordsRejected: a NaN or infinite key or measure fails the
+// build on every layout, and every insert, with ErrInvalidRecord, and a
+// rejected insert leaves the answers as they were. COUNT ignores measures,
+// at build and at insert alike.
+func TestNonFiniteRecordsRejected(t *testing.T) {
+	keys := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
+	whole := polyfit.Range{Lo: 0, Hi: 100}
+	for layout, extra := range layoutOptions() {
+		opts := append([]polyfit.Option{polyfit.WithMaxError(2)}, extra...)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, agg := range []polyfit.Agg{polyfit.Sum, polyfit.Min, polyfit.Max} {
+				ms := append([]float64(nil), ones...)
+				ms[3] = bad
+				if _, err := polyfit.New(polyfit.Spec{Agg: agg, Keys: keys, Measures: ms}, opts...); !errors.Is(err, polyfit.ErrInvalidRecord) {
+					t.Errorf("%s %v: build with measure %g: got %v, want ErrInvalidRecord", layout, agg, bad, err)
+				}
+			}
+			ks := append([]float64(nil), keys...)
+			ks[7] = bad
+			if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: ks}, opts...); !errors.Is(err, polyfit.ErrInvalidRecord) {
+				t.Errorf("%s: build with key %g: got %v, want ErrInvalidRecord", layout, bad, err)
+			}
+			if _, err := polyfit.New(polyfit.Spec{Agg: polyfit.Count, Keys: keys, Measures: []float64{1, 1, 1, bad, 1, 1, 1, 1}}, opts...); err != nil {
+				t.Errorf("%s: COUNT build with measure %g: %v", layout, bad, err)
+			}
+		}
+		ix, err := polyfit.New(polyfit.Spec{Agg: polyfit.Sum, Keys: keys, Measures: ones}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, ok := ix.(polyfit.Inserter)
+		if !ok {
+			continue
+		}
+		before, err := ix.Query(whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := ins.Insert(10, bad); !errors.Is(err, polyfit.ErrInvalidRecord) {
+				t.Errorf("%s: insert measure %g: got %v, want ErrInvalidRecord", layout, bad, err)
+			}
+			if err := ins.Insert(bad, 1); !errors.Is(err, polyfit.ErrInvalidRecord) {
+				t.Errorf("%s: insert key %g: got %v, want ErrInvalidRecord", layout, bad, err)
+			}
+		}
+		errs := ins.InsertBatch([]float64{11, 12, math.Inf(1)}, []float64{math.Inf(1), 1, 1})
+		if !errors.Is(errs[0], polyfit.ErrInvalidRecord) || errs[1] != nil || !errors.Is(errs[2], polyfit.ErrInvalidRecord) {
+			t.Errorf("%s: InsertBatch errors %v, want [invalid, nil, invalid]", layout, errs)
+		}
+		for i, err := range ins.InsertBatch([]float64{13, 14}, []float64{1}) {
+			if !errors.Is(err, polyfit.ErrInvalidRecord) {
+				t.Errorf("%s: InsertBatch with one measure for two keys: record %d got %v, want ErrInvalidRecord", layout, i, err)
+			}
+		}
+		if after, err := ix.Query(whole); err != nil || after.Value != before.Value+1 || ins.BufferLen() != 1 {
+			t.Errorf("%s: after one good insert the sum moved %g → %g (%v), buffer %d", layout, before.Value, after.Value, err, ins.BufferLen())
+		}
+	}
+}
+
 // TestBuilderLayoutCapabilities pins which capabilities each layout
 // exposes, and that an unsharded index answers exactly like a one-shard
 // sharded one (both are the same engine's one-shard case).

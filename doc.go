@@ -44,7 +44,7 @@
 //
 // Capabilities beyond the uniform contract are discovered by assertion:
 //
-//	if ins, ok := ix.(polyfit.Inserter); ok { ins.Insert(k, v) }
+//	if ins, ok := ix.(polyfit.Inserter); ok { errs := ins.InsertBatch(keys, measures) }
 //	if sh, ok := ix.(polyfit.Sharder); ok { fmt.Println(sh.NumShards()) }
 //
 // polyfit.Open restores any serialised one-key index behind the same
@@ -56,7 +56,8 @@
 //
 // All failures wrap the package's sentinel errors — ErrEmptyKeys,
 // ErrUnsortedKeys, ErrBadOptions, ErrAggMismatch, ErrInvalidRange,
-// ErrNoFallback, ErrDuplicateKey, ErrCorruptBlob — so callers classify
+// ErrNoFallback, ErrDuplicateKey, ErrInvalidRecord, ErrCorruptBlob — so
+// callers classify
 // them with errors.Is instead of matching message text. This contract is
 // machine-enforced: the project's static-analysis suite (internal/lint,
 // run blocking in CI as `make lint`) flags any exported error path that
@@ -123,23 +124,38 @@
 //
 // # Dynamic indexes and concurrency
 //
-// WithDynamic() adds insert support via a sorted delta buffer over the
-// static index; the buffer is aggregated exactly, so every guarantee above
-// carries over unchanged. Dynamic indexes are safe for concurrent use by
-// multiple goroutines with the following contract:
+// WithDynamic() adds insert support via a delta buffer over the static
+// index: two sorted runs, a tail of the newest records that merges into
+// the main run at 1024 records, each with prefix sums (COUNT/SUM) or
+// block extrema under a sparse table (MIN/MAX). Applying a record costs
+// O(1024 + b/1024) copies for b buffered records, whether it comes alone
+// (Insert) or in a batch (InsertBatch, which matches one Insert per record
+// exactly, errors included). A COUNT/SUM query adds O(log b) for the
+// buffer, a MIN/MAX query O(log b) plus a scan of at most the tail and two
+// 64-record blocks of the main run.
+// Once the buffer holds half as many records as the base, the insert that
+// filled it merge-rebuilds the base, so growing an index from n₀ to n keys
+// re-fits about 3n keys in all. The buffer is aggregated exactly and the
+// base is asked only at its own keys, where its fit is certified, so every
+// guarantee above carries over — at any endpoint, not only at keys, since
+// buffered keys lie between the base's. Non-finite keys and measures are
+// rejected, at build and at insert, with ErrInvalidRecord. Dynamic indexes
+// are safe for concurrent use by multiple goroutines with the following
+// contract:
 //
 //   - Queries (Query, QueryRel, QueryBatch, Stats) are lock-free: they read
 //     one immutable snapshot through an atomic pointer and never block —
 //     not even while a merge-rebuild is running, because the new base index
 //     is constructed off to the side and published with a single pointer
 //     swap.
-//   - Each query sees one consistent snapshot: a concurrent Insert either
-//     precedes all of a QueryBatch's answers or none of them.
-//   - Insert and Rebuild serialise on an internal lock; an Insert that
-//     triggers a merge-rebuild blocks other writers (not readers) until
-//     the rebuild completes.
-//   - Monotonicity: once an Insert returns, every subsequent query
-//     observes that record.
+//   - Each query sees one consistent snapshot: a concurrent Insert or
+//     InsertBatch either precedes all of a QueryBatch's answers or none of
+//     them.
+//   - Insert, InsertBatch and Rebuild serialise on an internal lock; an
+//     insert that triggers a merge-rebuild blocks other writers (not
+//     readers) until the rebuild completes.
+//   - Monotonicity: once an Insert or InsertBatch returns, every
+//     subsequent query observes its inserted records.
 //
 // Static indexes are immutable after construction and therefore trivially
 // safe for concurrent readers.
@@ -233,7 +249,11 @@
 // encodings bumped the static format to POL1 v2, the dynamic format to POLD
 // v3, and the sharded container to POLS v2, and every pre-encoding blob
 // (POL1 v1, POLD v2, POLS v1) still loads and answers bit-identically to
-// the index that wrote it — old blobs simply land on the raw encoding. The
+// the index that wrote it — old blobs simply land on the raw encoding.
+// POLD v4 records the split of the delta buffer into its main and tail
+// runs, so a restored index merges its tail at the same records as the
+// original; v2 and v3 blobs load their buffer as the main run with an
+// empty tail. The
 // encoding itself round-trips in the blob, so loading never re-certifies
 // (and never re-fits); learned roots and lookup tables are rebuilt
 // deterministically on load and are not serialised.

@@ -25,48 +25,101 @@ func newDynamicCount(keys []float64, opts ...Option) (*dynamicIndex, error) {
 	return newDynamic(Spec{Agg: Count, Keys: keys}, opts...)
 }
 
+// TestDynamicCountEndToEnd checks dynamic COUNT, SUM and MAX indexes while
+// their buffers hold hundreds of records, whose keys lie between the
+// base's. Every answer must be within its returned Bound, with endpoints
+// drawn from all keys, from the buffered keys, and uniformly over the key
+// domain.
 func TestDynamicCountEndToEnd(t *testing.T) {
-	keys := data.GenTweet(3000, 61)
 	const eps = 40.0
-	d, err := newDynamicCount(keys, WithMaxError(eps))
-	if err != nil {
-		t.Fatal(err)
+	tweet := data.GenTweet(3000, 61)
+	hkiKeys, hkiVals := data.GenHKI(3000, 61)
+	for _, spec := range []Spec{
+		{Agg: Count, Keys: tweet},
+		{Agg: Sum, Keys: hkiKeys, Measures: hkiVals},
+		{Agg: Max, Keys: hkiKeys, Measures: hkiVals},
+	} {
+		t.Run(spec.Agg.String(), func(t *testing.T) {
+			d, err := newDynamic(spec, WithMaxError(eps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := spec.Keys[0], spec.Keys[len(spec.Keys)-1]
+			all := append([]float64(nil), spec.Keys...)
+			vals := make([]float64, len(all))
+			for i := range vals {
+				vals[i] = 1
+				if spec.Measures != nil {
+					vals[i] = spec.Measures[i]
+				}
+			}
+			var buffered []float64
+			rng := rand.New(rand.NewSource(62))
+			// 1,300 records: a full tail merged into main, and a tail.
+			for i := 0; i < 1300; i++ {
+				k, m := lo+rng.Float64()*(hi-lo), vals[rng.Intn(len(spec.Keys))]
+				if err := d.Insert(k, m); err == nil {
+					all, vals, buffered = append(all, k), append(vals, m), append(buffered, k)
+				}
+			}
+			if d.BufferLen() != len(buffered) {
+				t.Fatalf("buffer holds %d records, want all %d inserts", d.BufferLen(), len(buffered))
+			}
+			if d.Stats().Records != len(all) {
+				t.Fatalf("Records = %d, want %d", d.Stats().Records, len(all))
+			}
+			endpoint := func(kind int) float64 {
+				switch kind {
+				case 0:
+					return all[rng.Intn(len(all))]
+				case 1:
+					return buffered[rng.Intn(len(buffered))]
+				}
+				return lo + rng.Float64()*(hi-lo)
+			}
+			for q := 0; q < 900; q++ {
+				l, u := endpoint(q%3), endpoint(q/3%3)
+				if l > u {
+					l, u = u, l
+				}
+				res, err := d.Query(Range{Lo: l, Hi: u})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, found := bruteForce(spec.Agg, all, vals, l, u)
+				if res.Found != found {
+					t.Fatalf("[%g, %g]: found %v, want %v", l, u, res.Found, found)
+				}
+				if found && math.Abs(res.Value-want) > res.Bound+1e-9*math.Abs(want) {
+					t.Fatalf("[%g, %g]: |%g − %g| > Bound %g", l, u, res.Value, want, res.Bound)
+				}
+			}
+			if st := d.Stats(); st.Segments < 1 {
+				t.Errorf("bad stats %+v", st)
+			}
+		})
 	}
-	all := append([]float64(nil), keys...)
-	rng := rand.New(rand.NewSource(62))
-	for i := 0; i < 800; i++ {
-		k := -60 + rng.Float64()*135
-		if err := d.Insert(k, 1); err == nil {
-			all = append(all, k)
-		}
-	}
-	if d.Stats().Records != len(all) {
-		t.Fatalf("Records = %d, want %d", d.Stats().Records, len(all))
-	}
-	for q := 0; q < 200; q++ {
-		l := all[rng.Intn(len(all))]
-		u := all[rng.Intn(len(all))]
-		if l > u {
-			l, u = u, l
-		}
-		res, err := d.Query(Range{Lo: l, Hi: u})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		for _, k := range all {
-			if k > l && k <= u {
-				want++
+}
+
+// bruteForce aggregates the records exactly: COUNT/SUM over (l, u], MAX
+// over [l, u].
+func bruteForce(agg Agg, keys, vals []float64, l, u float64) (float64, bool) {
+	if agg == Max {
+		best, found := math.Inf(-1), false
+		for i, k := range keys {
+			if k >= l && k <= u && vals[i] > best {
+				best, found = vals[i], true
 			}
 		}
-		if math.Abs(res.Value-want) > eps+1e-6 {
-			t.Fatalf("|%g − %g| > εabs", res.Value, want)
+		return best, found
+	}
+	sum := 0.0
+	for i, k := range keys {
+		if k > l && k <= u {
+			sum += vals[i]
 		}
 	}
-	st := d.Stats()
-	if st.Records != len(all) || st.Segments < 1 {
-		t.Errorf("bad stats %+v", st)
-	}
+	return sum, true
 }
 
 func TestDynamicMaxEndToEnd(t *testing.T) {

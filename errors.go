@@ -36,6 +36,10 @@ var (
 	// ErrDuplicateKey is returned by Inserter.Insert when the key is already
 	// present (in the base index or the delta buffer).
 	ErrDuplicateKey = core.ErrDuplicateKey
+	// ErrInvalidRecord is returned by New, Inserter.Insert and
+	// Inserter.InsertBatch for a record no index can hold: a NaN or
+	// infinite key or measure (COUNT indexes ignore the measure).
+	ErrInvalidRecord = core.ErrInvalidRecord
 	// ErrBadOptions reports an invalid build configuration: neither a max
 	// error (WithMaxError / Options2D.EpsAbs) nor a fitting tolerance
 	// (WithDelta / Options2D.Delta) was set positive.

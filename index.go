@@ -70,10 +70,30 @@ type Index interface {
 }
 
 // Inserter is implemented by the insert-supporting (dynamic) variants.
+//
+// Inserts land in an exactly aggregated delta buffer of two sorted runs: a
+// tail of the newest records, rewritten by every call, which merges into
+// the main run when it holds 1024 records. Applying a record therefore
+// costs O(1024 + b/1024) copies for b buffered records, whether it arrives
+// alone or in a batch; a batch pays the tail copy once. Once the buffer
+// holds half as many records as the base, the insert that filled it
+// re-fits the base over everything (a merge-rebuild), so growing an index
+// from n₀ to n keys re-fits about 3n keys in all.
 type Inserter interface {
-	// Insert adds a (key, measure) record; duplicate keys are rejected with
-	// ErrDuplicateKey. COUNT indexes ignore the measure.
+	// Insert adds a (key, measure) record: InsertBatch's one-record case.
+	// Duplicate keys are rejected with ErrDuplicateKey, non-finite keys and
+	// measures with ErrInvalidRecord. COUNT indexes ignore the measure.
 	Insert(key, measure float64) error
+	// InsertBatch adds the records (keys[i], measures[i]) with one
+	// published snapshot, and with exactly the outcome of calling Insert on
+	// each in input order: errs[i] is the error Insert would have returned
+	// for record i (nil when inserted), a key repeated within the batch
+	// loses to its first occurrence, and the index ends in the state that
+	// sequence of Inserts leaves, however the records are split into
+	// batches. A nil measures slice stands for zeros (enough for COUNT);
+	// otherwise it must be as long as keys, or every record fails with
+	// ErrInvalidRecord.
+	InsertBatch(keys, measures []float64) (errs []error)
 	// Rebuild forces an immediate merge of the delta buffer into the base;
 	// concurrent queries keep answering from the previous snapshot.
 	Rebuild() error
@@ -173,8 +193,11 @@ func (ix *dynamicIndex) Stats() Stats                   { return statsDynamic(ix
 func (ix *dynamicIndex) MarshalBinary() ([]byte, error) { return ix.inner.MarshalBinary() }
 
 func (ix *dynamicIndex) Insert(key, measure float64) error { return ix.inner.Insert(key, measure) }
-func (ix *dynamicIndex) Rebuild() error                    { return ix.inner.Rebuild() }
-func (ix *dynamicIndex) BufferLen() int                    { return ix.inner.BufferLen() }
+func (ix *dynamicIndex) InsertBatch(keys, measures []float64) []error {
+	return ix.inner.InsertBatch(keys, measures)
+}
+func (ix *dynamicIndex) Rebuild() error { return ix.inner.Rebuild() }
+func (ix *dynamicIndex) BufferLen() int { return ix.inner.BufferLen() }
 
 type shardedIndex struct {
 	queries
@@ -207,6 +230,9 @@ func (ix *shardedDynamicIndex) MarshalBinary() ([]byte, error) { return ix.inner
 
 func (ix *shardedDynamicIndex) Insert(key, measure float64) error {
 	return ix.inner.Insert(key, measure)
+}
+func (ix *shardedDynamicIndex) InsertBatch(keys, measures []float64) []error {
+	return ix.inner.InsertBatch(keys, measures)
 }
 func (ix *shardedDynamicIndex) Rebuild() error { return ix.inner.Rebuild() }
 func (ix *shardedDynamicIndex) BufferLen() int { return ix.inner.BufferLen() }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/artree"
 	"repro/internal/kca"
@@ -20,15 +19,21 @@ import (
 // (when built with fallbacks) certify relative-error answers. All of that
 // needs the raw data, so the format carries the full state:
 //
-//	magic "POLD" | version 3 | agg | flags | options (solver backend,
+//	magic "POLD" | version 4 | agg | flags | options (solver backend,
 //	coefficient-encoding mode, degree, parallelism, δ, rebuild fraction;
 //	exp-search and fallback settings in flags) | raw keys (and measures,
-//	except COUNT) | the sorted delta buffer (keys and measures) | the
-//	fitted base index as a nested Index1D blob
+//	except COUNT) | the buffer's main run (count, keys, measures) | its
+//	tail run (count, keys, measures) | the fitted base index as a nested
+//	Index1D blob
 //
-// v3 adds the coefficient-encoding mode byte so merge-rebuilds after a
-// restore keep honouring a forced encoding; v2 blobs (no mode byte, nested
-// POL1 v1 base) still load, defaulting the mode to auto.
+// v4 adds the tail run. The split between main and tail is state: it
+// decides when the next tail merge happens and how a buffered SUM adds up,
+// so an index restored from a snapshot answers bit for bit like the one
+// that wrote it, and stays so under the same inserts. v3 adds the
+// coefficient-encoding mode byte so merge-rebuilds after a restore keep
+// honouring a forced encoding. v3 blobs (one buffer, loaded as main with
+// an empty tail) and v2 blobs (no mode byte either, nested POL1 v1 base,
+// mode defaulting to auto) still load.
 //
 // Restoring never re-fits: the base segments load straight from the nested
 // blob, and only the O(n) exact fallbacks are reconstructed (when the
@@ -38,7 +43,7 @@ import (
 
 const (
 	magicDyn     = uint32(0x504F4C44) // "POLD"
-	dynFormatVer = uint16(3)
+	dynFormatVer = uint16(4)
 
 	dynFlagNoFallback  = 1 << 0
 	dynFlagHasMeasures = 1 << 1
@@ -72,7 +77,7 @@ func (d *Dynamic1D) MarshalBinary() ([]byte, error) {
 		flags |= dynFlagNoExpSearch
 	}
 	var buf bytes.Buffer
-	buf.Grow(64 + 8*(len(st.keys)+len(st.measures)+2*len(st.bufKeys)) + len(baseBlob))
+	buf.Grow(64 + 8*(len(st.keys)+len(st.measures)+2*st.bufferLen()) + len(baseBlob))
 	w := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	w(magicDyn)
 	w(dynFormatVer)
@@ -89,9 +94,11 @@ func (d *Dynamic1D) MarshalBinary() ([]byte, error) {
 	if hasMeasures {
 		writeFloatSlice(&buf, st.measures)
 	}
-	w(uint64(len(st.bufKeys)))
-	writeFloatSlice(&buf, st.bufKeys)
-	writeFloatSlice(&buf, st.bufVals)
+	for _, r := range []run{st.main, st.tail} {
+		w(uint64(len(r.keys)))
+		writeFloatSlice(&buf, r.keys)
+		writeFloatSlice(&buf, r.vals)
+	}
 	w(uint64(len(baseBlob)))
 	buf.Write(baseBlob)
 	return buf.Bytes(), nil
@@ -115,7 +122,7 @@ func RestoreDynamic(data []byte) (*Dynamic1D, error) {
 		}
 		return nil, fmt.Errorf("%w: magic", ErrBadFormat)
 	}
-	if err := rd(&ver); err != nil || (ver != 2 && ver != dynFormatVer) {
+	if err := rd(&ver); err != nil || ver < 2 || ver > dynFormatVer {
 		return nil, fmt.Errorf("%w: dynamic format version", ErrBadFormat)
 	}
 	var aggB, flags, backend, encMode uint8
@@ -182,35 +189,25 @@ func RestoreDynamic(data []byte) (*Dynamic1D, error) {
 	} else {
 		measures = make([]float64, n)
 	}
-	var b uint64
-	if err := rd(&b); err != nil {
-		return nil, fmt.Errorf("%w: buffer length", ErrBadFormat)
+	st := &dynState{keys: keys, measures: measures}
+	runs := []*run{&st.main}
+	if ver >= 4 {
+		runs = append(runs, &st.tail)
 	}
-	if b > uint64(len(data))/8+1 {
-		return nil, fmt.Errorf("%w: %d buffered records", ErrBadFormat, b)
-	}
-	bufKeys, err := readFloats(r, int(b), "buffer keys")
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSortedFinite(bufKeys, "buffer keys"); err != nil {
-		return nil, err
-	}
-	bufVals, err := readFloats(r, int(b), "buffer measures")
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range bufVals {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("%w: NaN buffer measure", ErrBadFormat)
+	for _, into := range runs {
+		rk, rv, err := readRun(r, len(data))
+		if err != nil {
+			return nil, err
 		}
-	}
-	// The buffer must stay disjoint from the base keys or the first
-	// merge-rebuild would violate the distinct-key invariant.
-	for _, k := range bufKeys {
-		if i := sort.SearchFloat64s(keys, k); i < len(keys) && keys[i] == k {
-			return nil, fmt.Errorf("%w: buffered key %g duplicates a base key", ErrBadFormat, k)
+		// The runs must stay disjoint from the base keys and from each
+		// other, or the first merge would violate the distinct-key
+		// invariant.
+		for _, k := range rk {
+			if st.holds(k) {
+				return nil, fmt.Errorf("%w: buffered key %g is held twice", ErrBadFormat, k)
+			}
 		}
+		*into = newRun(agg, rk, rv)
 	}
 	var baseLen uint64
 	if err := rd(&baseLen); err != nil {
@@ -246,17 +243,38 @@ func RestoreDynamic(data []byte) (*Dynamic1D, error) {
 		}
 	}
 	d := &Dynamic1D{agg: agg, opt: opt, RebuildFraction: rebuildFrac}
-	st := &dynState{
-		base: base, keys: keys, measures: measures,
-		bufKeys: bufKeys, bufVals: bufVals,
-	}
-	if agg == Count || agg == Sum {
-		st.bufPre = prefixSums(bufVals)
-	}
+	st.base = base
 	d.state.Store(st)
 	//lint:ignore lockguard d is still private to this restore function; no other goroutine can hold a reference yet
 	d.rebuilds = 1
 	return d, nil
+}
+
+// readRun reads one buffer run: a record count, then sorted finite keys
+// and their NaN-free measures.
+func readRun(r *bytes.Reader, blobLen int) (keys, vals []float64, err error) {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, nil, fmt.Errorf("%w: buffer length", ErrBadFormat)
+	}
+	if n > uint64(blobLen)/8+1 {
+		return nil, nil, fmt.Errorf("%w: %d buffered records", ErrBadFormat, n)
+	}
+	if keys, err = readFloats(r, int(n), "buffer keys"); err != nil {
+		return nil, nil, err
+	}
+	if err := checkSortedFinite(keys, "buffer keys"); err != nil {
+		return nil, nil, err
+	}
+	if vals, err = readFloats(r, int(n), "buffer measures"); err != nil {
+		return nil, nil, err
+	}
+	for _, v := range vals {
+		if math.IsNaN(v) {
+			return nil, nil, fmt.Errorf("%w: NaN buffer measure", ErrBadFormat)
+		}
+	}
+	return keys, vals, nil
 }
 
 // writeFloatSlice appends vals in little-endian without the per-element

@@ -136,7 +136,7 @@ func TestDynamicRoundTripStaysDynamic(t *testing.T) {
 	if err := got.Insert(baseKey, 1); err == nil {
 		t.Fatal("restored index accepted a duplicate base key")
 	}
-	bufKey := got.state.Load().bufKeys[0]
+	bufKey := got.state.Load().tail.keys[0]
 	if err := got.Insert(bufKey, 1); err == nil {
 		t.Fatal("restored index accepted a duplicate buffered key")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -62,10 +63,10 @@ func TestDynamicRebuildTriggers(t *testing.T) {
 	if d.Rebuilds() != 1 {
 		t.Fatalf("initial Rebuilds = %d", d.Rebuilds())
 	}
-	// Default threshold: max(64, n/8) = 125.
+	// Default threshold: max(64, n/2) = 500.
 	rng := rand.New(rand.NewSource(54))
 	inserted := 0
-	for inserted < 200 {
+	for inserted < 600 {
 		if err := d.Insert(rng.Float64()*1e6+1e7, 1); err == nil {
 			inserted++
 		}
@@ -73,7 +74,7 @@ func TestDynamicRebuildTriggers(t *testing.T) {
 	if d.Rebuilds() < 2 {
 		t.Errorf("rebuild did not trigger after %d inserts (buffer %d)", inserted, d.BufferLen())
 	}
-	if d.BufferLen() >= 125 {
+	if d.BufferLen() >= 500 {
 		t.Errorf("buffer %d was not flushed", d.BufferLen())
 	}
 	if d.Base().Len() <= 1000 {
@@ -274,26 +275,33 @@ func TestDynamicConcurrentStress(t *testing.T) {
 	}
 	// Window covering every base key and every possible inserted key.
 	lo, hi := math.Min(keys[0], -2e6)-1, math.Max(keys[len(keys)-1], 2e6)+1
-	// attempted is bumped before Insert, inserted after it returns, so at
-	// any instant the live record count is within [inserted, attempted] —
-	// sound bounds for readers even mid-publish.
+	// attempted is bumped before an insert, inserted after it returns, so
+	// at any instant the live record count is within [inserted, attempted]
+	// — sound bounds for readers even mid-publish. Odd writers insert
+	// 8-record batches, even ones one record at a time.
 	var attempted, inserted atomic.Int64
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		writers.Add(1)
-		go func(seed int64) {
+		go func(seed int64, batch int) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 400; i++ {
-				attempted.Add(1)
-				if err := d.Insert(rng.Float64()*4e6-2e6, 1); err == nil {
-					inserted.Add(1)
-				} else {
-					attempted.Add(-1)
+			keys := make([]float64, batch)
+			for i := 0; i < 400; i += batch {
+				for j := range keys {
+					keys[j] = rng.Float64()*4e6 - 2e6
+				}
+				attempted.Add(int64(batch))
+				for _, err := range d.InsertBatch(keys, nil) {
+					if err == nil {
+						inserted.Add(1)
+					} else {
+						attempted.Add(-1)
+					}
 				}
 			}
-		}(int64(100 + g))
+		}(int64(100+g), 1+7*(g%2))
 	}
 	writers.Add(1)
 	go func() {
@@ -373,5 +381,103 @@ func TestDynamicForcedRebuildKeepsAnswers(t *testing.T) {
 	}
 	if d.BufferLen() != 0 {
 		t.Errorf("buffer not flushed by forced rebuild")
+	}
+}
+
+// TestRunExtremumMatchesScan checks a buffer run's MIN/MAX — partial
+// blocks scanned, whole blocks from the sparse table — against a scan of
+// every record in the range: empty ranges (outside the run, or between two
+// adjacent keys), single records, ranges inside one block, ranges across
+// block edges, and the whole run.
+func TestRunExtremumMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1500} {
+		keys, vals := make([]float64, n), make([]float64, n)
+		k := 0.0
+		for i := range keys {
+			k += 1 + rng.Float64()
+			keys[i], vals[i] = k, rng.NormFloat64()*100
+		}
+		for _, agg := range []Agg{Min, Max} {
+			r := newRun(agg, keys, vals)
+			check := func(lq, uq float64) {
+				t.Helper()
+				want, found := 0.0, false
+				for i, k := range keys {
+					if k >= lq && k <= uq && (!found || agg == Max && vals[i] > want || agg == Min && vals[i] < want) {
+						want, found = vals[i], true
+					}
+				}
+				got, ok := r.extremum(extSign(agg), lq, uq)
+				if ok != found || found && got != want {
+					t.Fatalf("%v n=%d [%g, %g]: got (%g, %v), want (%g, %v)", agg, n, lq, uq, got, ok, want, found)
+				}
+			}
+			check(-2, -1)
+			check(k+1, k+2)
+			check(math.Inf(-1), math.Inf(1))
+			check(0, k)
+			for i := 0; i+1 < n; i++ {
+				check(keys[i]+1e-9, keys[i+1]-1e-9) // between adjacent keys
+			}
+			for i := 0; i < n; i++ {
+				check(keys[i], keys[i])
+			}
+			for q := 0; q < 2000 && n > 0; q++ {
+				a := rng.Intn(n)
+				b := min(n-1, a+rng.Intn(3*runBlock))
+				if q%2 == 0 {
+					b = a + rng.Intn(n-a)
+				}
+				lq, uq := keys[a], keys[b]
+				if q%3 == 0 {
+					lq -= 0.5 // mid-gap endpoints
+					uq += 0.5
+				}
+				check(lq, uq)
+			}
+		}
+	}
+}
+
+// TestInsertBatchFailedRebuild: when a merge-rebuild fails, the record
+// that triggered it is dropped with the build's error, the records before
+// it stay buffered, and every later record retries the rebuild — in a
+// batch exactly as one Insert at a time.
+func TestInsertBatchFailedRebuild(t *testing.T) {
+	keys, vals := genDataset(100, 73)
+	var dyns [2]*Dynamic1D
+	for i := range dyns {
+		d, err := NewDynamic(Sum, keys, vals, Options{Delta: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.opt.Delta = -1 // every re-fit now fails validation
+		dyns[i] = d
+	}
+	recs, ms := make([]float64, 70), make([]float64, 70)
+	for i := range recs {
+		recs[i], ms[i] = 1e7+float64(i), 0.5
+	}
+	var want []error
+	for i := range recs {
+		want = append(want, dyns[0].Insert(recs[i], ms[i]))
+	}
+	got := dyns[1].InsertBatch(recs, ms)
+	for i := range recs {
+		// Threshold max(64, 100/2) = 64: records 0–62 buffer, the rest fail.
+		if (want[i] == nil) != (i < 63) || (got[i] == nil) != (i < 63) {
+			t.Fatalf("record %d: Insert %v, InsertBatch %v", i, want[i], got[i])
+		}
+	}
+	for _, d := range dyns {
+		if d.BufferLen() != 63 || d.Len() != 163 || d.Rebuilds() != 1 {
+			t.Fatalf("buffer %d, records %d, rebuilds %d; want 63, 163, 1", d.BufferLen(), d.Len(), d.Rebuilds())
+		}
+	}
+	wb, _ := dyns[0].MarshalBinary()
+	gb, _ := dyns[1].MarshalBinary()
+	if !bytes.Equal(wb, gb) {
+		t.Fatal("state after InsertBatch differs from one Insert per record")
 	}
 }

@@ -98,25 +98,52 @@ func TestV1BlobLoadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOldContainerVersionsLoad: POLD v2 (no encoding-mode byte) and POLS v1
-// containers must still restore and answer identically. The transforms
-// reverse exactly what the version bumps added: POLD v3 inserted one byte
-// at offset 9, POLS v2 changed nothing but the version.
+// TestOldContainerVersionsLoad: POLD v3 (no tail run), POLD v2 (no
+// encoding-mode byte either) and POLS v1 containers must still restore and
+// answer identically. The transforms reverse exactly what the version
+// bumps added: POLD v4 inserted the tail run's count (zero for an empty
+// tail) just before the base blob's length, POLD v3 inserted one byte at
+// offset 9, POLS v2 changed nothing but the version. The dynamic index
+// buffers exactly tailCap records, which have merged into its main run, so
+// the old blobs carry them as their one buffer.
 func TestOldContainerVersionsLoad(t *testing.T) {
 	keys, vals := genDataset(2500, 117)
 	dyn, err := NewDynamic(Sum, keys, vals, Options{Delta: 8, NoFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := dyn.MarshalBinary()
+	buffered := make([]float64, tailCap)
+	for i := range buffered {
+		buffered[i] = 3e6 + float64(i)/3
+	}
+	for _, err := range dyn.InsertBatch(buffered, buffered) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	v4, err := dyn.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseBlob, err := dyn.Base().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailAt := len(v4) - len(baseBlob) - 16 // tail count, then base length
+	v3 := append(append([]byte(nil), v4[:tailAt]...), v4[tailAt+8:]...)
+	binary.LittleEndian.PutUint16(v3[4:], 3)
 	v2 := append(append([]byte(nil), v3[:9]...), v3[10:]...) // drop the encoding byte
 	binary.LittleEndian.PutUint16(v2[4:], 2)
-	oldDyn, err := RestoreDynamic(v2)
-	if err != nil {
-		t.Fatalf("POLD v2 blob rejected: %v", err)
+	var oldDyns []*Dynamic1D
+	for ver, blob := range map[int][]byte{3: v3, 2: v2} {
+		old, err := RestoreDynamic(blob)
+		if err != nil {
+			t.Fatalf("POLD v%d blob rejected: %v", ver, err)
+		}
+		if old.BufferLen() != tailCap {
+			t.Fatalf("POLD v%d blob restored %d buffered records, want %d", ver, old.BufferLen(), tailCap)
+		}
+		oldDyns = append(oldDyns, old)
 	}
 
 	sharded, err := BuildSharded(Sum, keys, vals, 3, Options{Delta: 8, NoFallback: true})
@@ -135,9 +162,10 @@ func TestOldContainerVersionsLoad(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(118))
+	all := append(append([]float64(nil), keys...), buffered...)
 	for q := 0; q < 300; q++ {
-		l := keys[rng.Intn(len(keys))]
-		u := keys[rng.Intn(len(keys))]
+		l := all[rng.Intn(len(all))]
+		u := all[rng.Intn(len(all))]
 		if l > u {
 			l, u = u, l
 		}
@@ -145,8 +173,10 @@ func TestOldContainerVersionsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := oldDyn.RangeSum(l, u); got != want {
-			t.Fatalf("POLD v2-loaded answer differs at (%g, %g]: %g vs %g", l, u, got, want)
+		for _, old := range oldDyns {
+			if got, _ := old.RangeSum(l, u); got != want {
+				t.Fatalf("POLD v2/v3-loaded answer differs at (%g, %g]: %g vs %g", l, u, got, want)
+			}
 		}
 		ws, _, err := sharded.sum(l, u)
 		if err != nil {

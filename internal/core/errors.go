@@ -22,9 +22,9 @@ var (
 	// replay matches it to tell "already applied" (skip, idempotent) from a
 	// genuine replay failure (which must fail recovery, not lose data).
 	ErrDuplicateKey = errors.New("core: duplicate key")
-	// ErrInvalidRecord reports an Insert argument the index cannot store:
-	// a non-finite key or a NaN measure.
-	ErrInvalidRecord = errors.New("core: invalid insert record")
+	// ErrInvalidRecord reports a record no index can store, at build or at
+	// insert: a non-finite key or measure.
+	ErrInvalidRecord = errors.New("core: invalid record")
 	// ErrLengthMismatch reports parallel dataset slices (keys/measures,
 	// xs/ys/weights) of different lengths.
 	ErrLengthMismatch = errors.New("core: mismatched dataset lengths")

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -189,6 +191,112 @@ func FuzzRangeSumInvariants(f *testing.F) {
 				if math.Abs((a+b)-v) > 1e-6*(1+math.Abs(v)) {
 					t.Fatalf("additivity broken: %g + %g != %g", a, b, v)
 				}
+			}
+		}
+	})
+}
+
+// FuzzInsertBatch checks that InsertBatch has exactly the outcome of one
+// Insert per record: the same per-record errors, and the same state byte
+// for byte (MarshalBinary), however the records are cut into batches. The
+// records include duplicates (of base keys, of earlier records, within one
+// batch), NaN and ±Inf keys and measures, and non-integer measures; with
+// 5,000 or more of them, both a plain dynamic index and a 4-shard one
+// cross tail merges and merge-rebuilds.
+func FuzzInsertBatch(f *testing.F) {
+	f.Add(int64(1), uint8(Sum), uint16(6000), uint8(4))
+	f.Add(int64(2), uint8(Sum), uint16(5500), uint8(255))
+	f.Add(int64(3), uint8(Max), uint16(5000), uint8(64))
+	f.Add(int64(4), uint8(Count), uint16(700), uint8(1))
+	f.Add(int64(5), uint8(Min), uint16(300), uint8(0))
+	base := make([]float64, 8400)
+	baseVals := make([]float64, len(base))
+	for i := range base {
+		base[i] = float64(2 * i)
+		baseVals[i] = float64(i%97) + 0.25
+	}
+	f.Fuzz(func(t *testing.T, seed int64, aggB uint8, n uint16, cut uint8) {
+		agg := Agg(int(aggB) % 4)
+		rng := rand.New(rand.NewSource(seed))
+		keys, measures := make([]float64, int(n)%8000), make([]float64, int(n)%8000)
+		for i := range keys {
+			switch p := rng.Float64(); {
+			case p < 0.03:
+				keys[i] = base[rng.Intn(len(base))]
+			case p < 0.06 && i > 0:
+				keys[i] = keys[rng.Intn(i)]
+			case p < 0.07:
+				keys[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			default:
+				keys[i] = rng.Float64() * 2 * float64(len(base))
+			}
+			measures[i] = rng.Float64() * 10
+			if rng.Float64() < 0.02 {
+				measures[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
+		}
+		type inserter interface {
+			Insert(key, measure float64) error
+			InsertBatch(keys, measures []float64) []error
+			MarshalBinary() ([]byte, error)
+		}
+		opt := Options{Delta: 20, NoFallback: true}
+		for _, shards := range []int{1, 4} {
+			var one, batched inserter
+			var dyns []*Dynamic1D // one's shards, for the coverage check
+			if shards == 1 {
+				a, err1 := NewDynamic(agg, base, baseVals, opt)
+				b, err2 := NewDynamic(agg, base, baseVals, opt)
+				if err := firstErr(err1, err2); err != nil {
+					t.Fatal(err)
+				}
+				one, batched, dyns = a, b, []*Dynamic1D{a}
+			} else {
+				a, err1 := NewShardedDynamic(agg, base, baseVals, shards, opt)
+				b, err2 := NewShardedDynamic(agg, base, baseVals, shards, opt)
+				if err := firstErr(err1, err2); err != nil {
+					t.Fatal(err)
+				}
+				one, batched, dyns = a, b, a.shards
+			}
+			merges, mainLen := 0, 0
+			want := make([]error, len(keys))
+			for i := range keys {
+				want[i] = one.Insert(keys[i], measures[i])
+				m := 0
+				for _, d := range dyns {
+					m += len(d.state.Load().main.keys)
+				}
+				if m > mainLen {
+					merges++
+				}
+				mainLen = m
+			}
+			var got []error
+			for lo := 0; lo < len(keys); {
+				hi := min(len(keys), lo+1+rng.Intn(1+int(cut)*16))
+				got = append(got, batched.InsertBatch(keys[lo:hi], measures[lo:hi])...)
+				lo = hi
+			}
+			for i := range keys {
+				if (want[i] == nil) != (got[i] == nil) || want[i] != nil && want[i].Error() != got[i].Error() {
+					t.Fatalf("%d shards, record %d (%g, %g): Insert %v, InsertBatch %v", shards, i, keys[i], measures[i], want[i], got[i])
+				}
+			}
+			wb, err1 := one.MarshalBinary()
+			gb, err2 := batched.MarshalBinary()
+			if err := firstErr(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wb, gb) {
+				t.Fatalf("%d shards: state after InsertBatch differs from one Insert per record", shards)
+			}
+			rebuilds := 0
+			for _, d := range dyns {
+				rebuilds += d.Rebuilds() - 1
+			}
+			if len(keys) >= 5000 && (merges == 0 || rebuilds == 0) {
+				t.Fatalf("%d shards: %d records crossed %d tail merges and %d rebuilds, want both", shards, len(keys), merges, rebuilds)
 			}
 		}
 	})

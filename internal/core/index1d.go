@@ -217,8 +217,11 @@ func validateKeys(keys, measures []float64) error {
 	if len(keys) != len(measures) {
 		return fmt.Errorf("%w: %d keys, %d measures", ErrLengthMismatch, len(keys), len(measures))
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
+	for i := range keys {
+		if err := checkRecord(keys[i], measures[i]); err != nil {
+			return err
+		}
+		if i > 0 && keys[i] <= keys[i-1] {
 			return fmt.Errorf("%w (violated at %d)", ErrUnsortedKeys, i)
 		}
 	}
@@ -711,10 +714,11 @@ func buildSparseTable(vals []float64) [][]float64 {
 	return table
 }
 
-// rangeMaxIdx returns max(vals[a..b]) via the sparse table; a ≤ b required.
-func (ix *Index1D) rangeMaxIdx(a, b int) float64 {
+// sparseMax returns max(vals[a..b]) from buildSparseTable(vals); a ≤ b
+// required.
+func sparseMax(table [][]float64, a, b int) float64 {
 	k := bits.Len(uint(b-a+1)) - 1
-	row := ix.rmq[k]
+	row := table[k]
 	return math.Max(row[a], row[b-(1<<k)+1])
 }
 
@@ -849,7 +853,7 @@ func (ix *Index1D) maxOverSegs(a, b int, lq, uq float64) float64 {
 		fullHi = b - 1
 	}
 	if fullLo <= fullHi {
-		best = math.Max(best, ix.rangeMaxIdx(fullLo, fullHi))
+		best = math.Max(best, sparseMax(ix.rmq, fullLo, fullHi))
 	}
 	return best
 }

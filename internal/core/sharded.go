@@ -41,19 +41,11 @@ type chunk struct{ keys, measures []float64 }
 // K-fold (the produced indexes are identical for any worker count, so this
 // only affects build latency).
 func shardPlan(agg Agg, keys, measures []float64, shards int, opt Options) ([]chunk, []float64, Options, error) {
-	if len(keys) == 0 {
-		return nil, nil, opt, ErrEmptyDataset
+	if agg == Count {
+		measures = make([]float64, len(keys)) // COUNT ignores measures, as its build does
 	}
-	if agg == Count && measures == nil {
-		measures = make([]float64, len(keys))
-	}
-	if len(keys) != len(measures) {
-		return nil, nil, opt, fmt.Errorf("core: %d keys, %d measures", len(keys), len(measures))
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return nil, nil, opt, fmt.Errorf("%w (violated at %d)", ErrUnsortedKeys, i)
-		}
+	if err := validateKeys(keys, measures); err != nil {
+		return nil, nil, opt, err
 	}
 	if shards < 1 {
 		shards = 1
@@ -207,9 +199,6 @@ func NewShardedDynamic(agg Agg, keys, measures []float64, shards int, opt Option
 		wg.Add(1)
 		go func(i int, c chunk) {
 			defer wg.Done()
-			if c.measures == nil {
-				c.measures = make([]float64, len(c.keys))
-			}
 			built[i], errs[i] = NewDynamic(agg, c.keys, c.measures, opt)
 		}(i, c)
 	}
@@ -278,6 +267,41 @@ func AssembleShardedDynamic(bounds []float64, shards []*Dynamic1D) (*ShardedDyna
 // shard is the only one that could hold the key).
 func (s *ShardedDynamic1D) Insert(key, measure float64) error {
 	return s.shards[shardOf(s.bounds, key)].Insert(key, measure)
+}
+
+// InsertBatch routes every record to the shard owning its key and applies
+// each shard's records, in input order, with one Dynamic1D.InsertBatch
+// call. Shards share no state, so the outcome — per-record errors, in
+// input order, and every shard's state — is that of calling Insert on each
+// record in turn. measures follows Dynamic1D.InsertBatch.
+func (s *ShardedDynamic1D) InsertBatch(keys, measures []float64) []error {
+	if len(s.shards) == 1 || measures != nil && len(measures) != len(keys) {
+		// One shard takes the whole batch, and rejects a mismatched one
+		// whole, as an unsharded index does.
+		return s.shards[0].InsertBatch(keys, measures)
+	}
+	ids := make([][]int, len(s.shards))
+	for i, k := range keys {
+		sh := shardOf(s.bounds, k)
+		ids[sh] = append(ids[sh], i)
+	}
+	errs := make([]error, len(keys))
+	for sh, idx := range ids {
+		if len(idx) == 0 {
+			continue
+		}
+		ks, ms := make([]float64, len(idx)), make([]float64, len(idx))
+		for j, i := range idx {
+			ks[j] = keys[i]
+			if measures != nil {
+				ms[j] = measures[i]
+			}
+		}
+		for j, err := range s.shards[sh].InsertBatch(ks, ms) {
+			errs[idx[j]] = err
+		}
+	}
+	return errs
 }
 
 // Rebuild forces a merge-rebuild of every shard (concurrently). Queries

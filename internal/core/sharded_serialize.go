@@ -19,7 +19,8 @@ import (
 // round-trips everything its shards do: options, raw data, delta buffers,
 // fitted bases, and (v2) per-shard coefficient encodings. The container
 // layout is identical across versions — v2 exists because its nested blobs
-// may use the POL1 v2 / POLD v3 formats — and v1 blobs still load.
+// may use the POL1 v2 / POLD v3 formats (or POLD v4, which a v2 container
+// may nest as well) — and v1 blobs still load.
 // Decoding validates the directory (shard count, bound ordering, per-shard
 // length) and the cross-shard invariants (uniform aggregate and δ, key
 // ranges consistent with the routing bounds) before returning; corrupt,

@@ -43,7 +43,7 @@ func TestShardedDynamicStress(t *testing.T) {
 	// Keep per-shard delta buffers below the merge threshold for the
 	// inserter shards so the forced rebuilds of the hot shard are the only
 	// rebuilds racing the queries deterministically; automatic rebuilds are
-	// still allowed to happen (threshold max(64, n/8)).
+	// still allowed to happen (threshold max(64, n/2)).
 	perShard := make([][]float64, shards)
 	for _, k := range insK {
 		s := sd.ShardOf(k)

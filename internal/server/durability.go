@@ -264,20 +264,12 @@ func (s *Server) recoverIndex(name string) (e *entry, replayed, skipped int64, t
 			return nil, 0, 0, 0, err
 		}
 	}
-	for _, r := range recs {
-		if insErr := e.ins.Insert(r.Key, r.Measure); insErr != nil {
-			if errors.Is(insErr, polyfit.ErrDuplicateKey) {
-				// The snapshot already covers this acknowledged insert
-				// (crash raced snapshot and truncation). Idempotent skip.
-				skipped++
-				continue
-			}
-			// Any other failure would silently drop an acknowledged,
-			// fsynced insert — refuse to serve the index instead.
-			wal.Close() //nolint:errcheck
-			return nil, 0, 0, 0, fmt.Errorf("replay insert %g: %w", r.Key, insErr)
-		}
-		replayed++
+	replayed, skipped, err = replay(e.ins, recs)
+	if err != nil {
+		// A failure other than a duplicate would silently drop an
+		// acknowledged, fsynced insert — refuse to serve the index instead.
+		wal.Close() //nolint:errcheck
+		return nil, 0, 0, 0, err
 	}
 	e.wal = wal
 	e.replayed = replayed
@@ -337,22 +329,40 @@ func (s *Server) recoverShardedIndex(name string, man persist.ShardManifest) (e 
 		}
 		wals[i] = wal
 		torn += dropped
-		for _, r := range recs {
-			if insErr := ins.Insert(r.Key, r.Measure); insErr != nil {
-				if errors.Is(insErr, polyfit.ErrDuplicateKey) {
-					skipped++
-					continue
-				}
-				closeAll()
-				return nil, 0, 0, 0, fmt.Errorf("shard %d replay insert %g: %w", i, r.Key, insErr)
-			}
-			replayed++
+		n, dup, err := replay(ins, recs)
+		if err != nil {
+			closeAll()
+			return nil, 0, 0, 0, fmt.Errorf("shard %d: %w", i, err)
 		}
+		replayed += n
+		skipped += dup
 	}
 	e = newEntry(sd)
 	e.shardWALs = wals
 	e.replayed = replayed
 	return e, replayed, skipped, torn, nil
+}
+
+// replay applies one WAL's records with a single InsertBatch, in log order.
+// A duplicate is an acknowledged insert the snapshot already covers (a
+// crash raced snapshot and truncation) and skips idempotently; any other
+// rejection fails the replay.
+func replay(ins polyfit.Inserter, recs []persist.Record) (replayed, skipped int64, err error) {
+	keys, measures := make([]float64, len(recs)), make([]float64, len(recs))
+	for i, r := range recs {
+		keys[i], measures[i] = r.Key, r.Measure
+	}
+	for i, insErr := range ins.InsertBatch(keys, measures) {
+		switch {
+		case insErr == nil:
+			replayed++
+		case errors.Is(insErr, polyfit.ErrDuplicateKey):
+			skipped++
+		default:
+			return 0, 0, fmt.Errorf("replay insert %g: %w", keys[i], insErr)
+		}
+	}
+	return replayed, skipped, nil
 }
 
 // snapshotLoop periodically persists dirty dynamic indexes (those with WAL

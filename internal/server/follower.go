@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	polyfit "repro"
 	"repro/internal/cluster"
 )
 
@@ -311,15 +310,12 @@ func (f *follower) pollTail(ctx context.Context, name string, cur *replCursor) (
 			return applied, false, fmt.Errorf("%w: frame for %q stream %d starts at %d, cursor at %v",
 				cluster.ErrResync, name, frame.Log, frame.From, cur.seqs)
 		}
-		for _, rec := range frame.Records {
-			if insErr := e.ins.Insert(rec.Key, rec.Measure); insErr != nil {
-				if errors.Is(insErr, polyfit.ErrDuplicateKey) {
-					continue // snapshot already covered it
-				}
-				// Anything else forks the replica from the leader; rejoin
-				// from a fresh snapshot instead of serving diverged state.
-				return applied, false, fmt.Errorf("%w: apply %q key %g: %v", cluster.ErrResync, name, rec.Key, insErr)
-			}
+		// One batch per frame; a duplicate is a record the snapshot
+		// already covered. Anything else forks the replica from the
+		// leader; rejoin from a fresh snapshot instead of serving diverged
+		// state.
+		if _, _, err := replay(e.ins, frame.Records); err != nil {
+			return applied, false, fmt.Errorf("%w: apply %q: %v", cluster.ErrResync, name, err)
 		}
 		applied += int64(len(frame.Records))
 		next[frame.Log] += int64(len(frame.Records))

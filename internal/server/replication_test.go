@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -393,6 +395,52 @@ func TestFollowerBitwiseIdenticalUnderStream(t *testing.T) {
 			t.Fatalf("%s: leader %s != follower %s", q, l, f)
 		}
 	}
+}
+
+// TestFollowerJoinsWithBufferSplit: a follower that joins from a snapshot
+// of a SUM index with non-integer measures, whose buffer holds a main run
+// and a non-empty tail, answers byte for byte like the leader, and still
+// does after more inserts merge the tail again. The snapshot must carry
+// the main/tail split: a follower that loaded the whole buffer as one run
+// would add the same measures up in another grouping, and merge its tail
+// at other records.
+func TestFollowerJoinsWithBufferSplit(t *testing.T) {
+	dir := t.TempDir()
+	leader := newDurable(t, dir)
+	defer leader.Close()
+	lts := httptest.NewServer(leader)
+	defer lts.Close()
+
+	// 6,000 base keys: no merge-rebuild before 3,000 buffered records.
+	mustPost(t, lts, "/v1/indexes", CreateRequest{
+		Name: "dyn", Agg: "sum", Dynamic: true,
+		Keys: seqKeys(6000), Measures: onesN(6000), EpsAbs: 150,
+	}, nil)
+	rng := rand.New(rand.NewSource(19))
+	insert := func(n int) {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Key: rng.Float64() * 18000, Measure: rng.Float64() * 10}
+		}
+		mustPost(t, lts, "/v1/indexes/dyn/insert", InsertRequest{Records: recs}, nil)
+	}
+	insert(1100) // a main run of 1,024 records and a tail of 76
+	fsrv, fts := newFollowerServer(t, lts.URL)
+	same := func(stage string) {
+		t.Helper()
+		for q := 0; q < 60; q++ {
+			l := rng.Float64() * 18000
+			body := fmt.Sprintf(`{"lo":%g,"hi":%g}`, l, l+rng.Float64()*6000)
+			if lb, fb := rawQuery(t, lts.URL, "dyn", body), rawQuery(t, fts.URL, "dyn", body); !bytes.Equal(lb, fb) {
+				t.Fatalf("%s, %s: leader %s, follower %s", stage, body, lb, fb)
+			}
+		}
+	}
+	waitFor(t, "join", func() bool { return caughtUp(t, lts.URL, fsrv) })
+	same("after the join")
+	insert(1000) // the tail fills and merges into main again
+	waitFor(t, "streamed inserts", func() bool { return caughtUp(t, lts.URL, fsrv) })
+	same("after more inserts")
 }
 
 // TestTruncationGatedOnSlowFollower proves the leader holds WAL truncation

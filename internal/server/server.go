@@ -725,15 +725,21 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// records are already marked for the forced-snapshot path. Serving
 	// never blocks on (or retries against) a disk known to be bad.
 	degraded := e.degraded.Load()
-	insert := e.ins.Insert
 	resp := InsertResponse{}
 	var accepted []persist.Record          // plain dynamic: one log
 	var acceptedByShard [][]persist.Record // sharded: one log per owning shard
 	if len(e.shardWALs) > 0 {
 		acceptedByShard = make([][]persist.Record, len(e.shardWALs))
 	}
-	for _, rec := range req.Records {
-		if err := insert(rec.Key, rec.Measure); err != nil {
+	keys, measures := make([]float64, len(req.Records)), make([]float64, len(req.Records))
+	for i, rec := range req.Records {
+		keys[i], measures[i] = rec.Key, rec.Measure
+	}
+	// One batch per request: the index applies it under one lock with one
+	// published snapshot, exactly as one Insert per record would.
+	errs := e.ins.InsertBatch(keys, measures)
+	for i, rec := range req.Records {
+		if err := errs[i]; err != nil {
 			resp.Rejected++
 			if len(resp.Errors) < 8 {
 				resp.Errors = append(resp.Errors, err.Error())
